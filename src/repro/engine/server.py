@@ -4,9 +4,14 @@ Stdlib-only: callers submit single texts from any thread and get a
 :class:`concurrent.futures.Future`; ``workers`` serving threads — each
 owning its own :class:`PredictionEngine` replica over the shared
 read-only fitted model — pull from one bounded admission queue and
-coalesce whatever has queued up (up to ``max_batch_size``, waiting at
-most ``max_wait_ms``) into batched engine calls, so concurrent traffic
-is served at batch throughput instead of one forward pass per request.
+coalesce whatever has queued up (up to ``max_batch_size``) into batched
+engine calls, so concurrent traffic is served at batch throughput
+instead of one forward pass per request.
+
+Coalescing happens only under contention: an idle server dispatches a
+request at once.  A worker holds a batch open for more traffic, for at
+most ``max_wait_ms``, only while another worker is busy with a batch or
+a :meth:`~BatchingServerBase.predict` call is still enqueueing its texts.
 
 The admission queue is bounded (``max_queue``) and the overload policy
 is configurable: ``"block"`` applies backpressure by making ``submit``
@@ -407,6 +412,12 @@ class BatchingServerBase:
         self._not_empty = threading.Condition(self._mutex)
         self._not_full = threading.Condition(self._mutex)
         self._items: deque[_QueueItem | _StopSentinel] = deque()
+        # The two "more work is coming" signals _collect_batch reads:
+        # per slot, whether its worker took a batch and has not come
+        # back for the next one; and how many predict() calls are still
+        # enqueueing their texts.
+        self._busy = [False] * workers
+        self._enqueueing = 0
         self._accepting = False
         self._stopping = False
         self._threads: list[threading.Thread] = []
@@ -465,6 +476,10 @@ class BatchingServerBase:
                 raise RuntimeError("server is already running")
             self._before_start()
             self.stats.mark_started()
+            # Every thread of the last epoch has exited.  _enqueueing is
+            # left alone: predict() always lowers what it raised, and a
+            # call straddling stop()/start() would drive a reset negative.
+            self._busy = [False] * self.workers
             self._threads = [
                 threading.Thread(
                     target=self._serve_loop,
@@ -580,8 +595,15 @@ class BatchingServerBase:
 
         If admission fails partway (shed or stop), the already-queued
         futures are cancelled best-effort before the error propagates.
+
+        While the texts are being submitted (one :meth:`submit` each) the
+        call counts as enqueueing, so a worker that wakes on the first
+        text keeps its batch open for the rest instead of dispatching a
+        fragment.
         """
         futures: list["Future[PredictionResult]"] = []
+        with self._mutex:
+            self._enqueueing += 1
         try:
             for t in texts:
                 futures.append(self.submit(t))
@@ -589,6 +611,11 @@ class BatchingServerBase:
             for f in futures:
                 f.cancel()
             raise
+        finally:
+            with self._mutex:
+                self._enqueueing -= 1
+                # Waiting workers re-check: none may be coming any more.
+                self._not_empty.notify_all()
         if timeout is None:
             return [f.result() for f in futures]
         deadline = time.perf_counter() + timeout
@@ -600,11 +627,18 @@ class BatchingServerBase:
     # ------------------------------------------------------------------
     # Workers
     # ------------------------------------------------------------------
-    def _collect_batch(self) -> tuple[list[_QueueItem], bool]:
-        """Block for one request, then coalesce briefly. -> (batch, stop)"""
+    def _collect_batch(self, worker: int) -> tuple[list[_QueueItem], bool]:
+        """Block for one request, then coalesce under contention.
+
+        Returns ``(batch, stop)``.  With the queue drained, the batch is
+        held open (for at most ``max_wait_ms``) only while more work is
+        known to be coming: another worker is busy with a batch, or a
+        :meth:`predict` is still enqueueing.  Otherwise it goes at once.
+        """
         batch: list[_QueueItem] = []
         stop = False
         with self._mutex:
+            self._busy[worker] = False
             while not self._items:
                 self._not_empty.wait()
             deadline = time.perf_counter() + self.max_wait_ms / 1000.0
@@ -616,12 +650,17 @@ class BatchingServerBase:
                     else:
                         batch.append(item)
                     continue
+                if not (self._enqueueing or any(self._busy)):
+                    break
                 remaining = deadline - time.perf_counter()
                 if remaining <= 0:
                     break
                 self._not_empty.wait(remaining)
             if batch:
                 self._not_full.notify(len(batch))
+                # A worker that took its stop sentinel never comes back
+                # to clear the flag, so it is not counted as busy.
+                self._busy[worker] = not stop
         return batch, stop
 
     def _serve_batch(self, batch: list[_QueueItem], worker: int) -> None:
@@ -664,9 +703,12 @@ class BatchingServerBase:
 
         Returns False (no replacement) when the server is stopping or
         already stopped — a replacement there would block forever on a
-        stop sentinel its predecessor may already have consumed.
+        stop sentinel its predecessor may already have consumed.  Either
+        way the slot no longer holds a batch: the dead thread's futures
+        were failed.
         """
         with self._mutex:
+            self._busy[worker] = False
             if self._stopping or not self._threads:
                 return False
             thread = threading.Thread(
@@ -692,7 +734,7 @@ class BatchingServerBase:
         try:
             self._on_worker_start(worker)
             while True:
-                batch, stop = self._collect_batch()
+                batch, stop = self._collect_batch(worker)
                 if batch:
                     chaos = self.chaos
                     if chaos is not None:
@@ -745,9 +787,12 @@ class InferenceServer(BatchingServerBase):
     max_batch_size:
         Hard cap on texts per coalesced batch.
     max_wait_ms:
-        How long a worker holds an open batch hoping for more traffic;
-        the first request in a batch never waits longer than this before
-        inference starts.
+        Upper limit on how long a worker holds an open batch for more
+        traffic.  An idle server dispatches at once; the window applies
+        only while another worker is busy with a batch or a
+        :meth:`predict` call is still enqueueing its texts.  The first
+        request in a batch never waits longer than this before inference
+        starts.
     max_queue:
         Bound on requests admitted but not yet picked up by a worker.
     overload:

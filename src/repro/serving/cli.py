@@ -115,7 +115,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-wait-ms",
         type=float,
         default=2.0,
-        help="how long a worker holds an open batch for more traffic",
+        help=(
+            "upper limit on how long a worker holds an open batch for more "
+            "traffic; an idle server dispatches at once, the window applies "
+            "only while another worker is busy or a batch call is still "
+            "enqueueing"
+        ),
     )
     parser.add_argument(
         "--max-queue", type=int, default=512, help="admission queue bound"

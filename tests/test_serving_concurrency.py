@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
+from collections.abc import Sequence
 from concurrent.futures import Future, TimeoutError as FutureTimeoutError
 
 import numpy as np
@@ -590,3 +591,156 @@ class TestWorkerThreadReplacement:
             result = server.submit("fine afterwards").result(timeout=30)
             assert len(result.probabilities) == 6
             assert server.stats.snapshot().worker_thread_deaths == 0
+
+
+class GatedBackend(DeterministicBackend):
+    """Holds any batch containing a ``HOLD`` text until ``release`` is set."""
+
+    def __init__(self) -> None:
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def proba_batch(self, texts: list[str]) -> np.ndarray:
+        if any("HOLD" in t for t in texts):
+            self.entered.set()
+            self.release.wait(timeout=30)
+        return super().proba_batch(texts)
+
+
+class GilYieldingTexts(Sequence[str]):
+    """Texts that release the GIL as each is read, as a busy caller would.
+
+    Without it a tight ``predict()`` loop can enqueue every text before
+    any worker runs, which would hide a worker dispatching early.
+    """
+
+    def __init__(self, texts: list[str]) -> None:
+        self._texts = texts
+
+    def __len__(self) -> int:
+        return len(self._texts)
+
+    def __getitem__(self, index):
+        time.sleep(0.0002)
+        return self._texts[index]
+
+
+def assert_idle_dispatch(server: InferenceServer, text: str) -> None:
+    """Once the server settles idle, a lone request skips the batch window."""
+    deadline = time.monotonic() + 5
+    while any(server._busy) and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert not any(server._busy)
+    assert server._enqueueing == 0
+    assert server.max_wait_ms == 200
+    assert server.submit(text).result(timeout=30).latency_ms < 50
+
+
+class TestIdleDispatch:
+    """An idle server dispatches at once; it coalesces only under contention."""
+
+    def test_lone_request_does_not_wait_the_window(self):
+        with InferenceServer(make_engine(), workers=2, max_wait_ms=200) as server:
+            first = server.submit("alone on an idle server").result(timeout=30)
+            assert first.latency_ms < 50
+            # Again once the worker that served it has come back for more.
+            assert_idle_dispatch(server, "alone again")
+
+    def test_batch_call_is_not_fragmented(self):
+        # The predict() call counts as enqueueing until its last text is
+        # in, so the worker woken by its first text keeps the batch open.
+        server = InferenceServer(
+            make_engine(SlowBackend(0.2)),
+            workers=2,
+            max_batch_size=32,
+            max_wait_ms=200,
+        )
+        with server:
+            results = server.predict(
+                GilYieldingTexts([f"batch text {i}" for i in range(64)])
+            )
+        assert len(results) == 64
+        snapshot = server.stats.snapshot()
+        assert snapshot.batches == 2
+        assert snapshot.largest_batch == 32
+
+    def test_requests_coalesce_while_another_worker_is_busy(self):
+        backend = GatedBackend()
+        server = InferenceServer(
+            make_engine(backend), workers=2, max_batch_size=32, max_wait_ms=200
+        )
+        with server:
+            held = server.submit("HOLD one worker")
+            try:
+                assert backend.entered.wait(timeout=30)
+                futures = []
+                for i in range(8):
+                    futures.append(server.submit(f"together {i}"))
+                    time.sleep(0.001)  # let the other worker wake in between
+                for future in futures:
+                    assert future.result(timeout=30).label in DIMENSIONS
+                # The held batch is not recorded yet: the other worker
+                # served all eight texts as one batch.
+                snapshot = server.stats.snapshot()
+                assert snapshot.batches == 1
+                assert snapshot.largest_batch == 8
+            finally:
+                backend.release.set()
+            assert held.result(timeout=30).label in DIMENSIONS
+
+
+class TestBusySignalHygiene:
+    """The busy signal returns to idle after deaths, stops and restarts."""
+
+    def test_thread_death_mid_batch_leaves_no_busy_slot(self):
+        server = InferenceServer(make_engine(), workers=2, max_wait_ms=200)
+        original = server._serve_batch
+        state = {"armed": True}
+
+        def bomb(batch, worker):
+            if state["armed"] and any("CRASH" in t for t, _, _ in batch):
+                state["armed"] = False
+                raise SystemError("simulated serving-loop bug")
+            return original(batch, worker)
+
+        server._serve_batch = bomb
+        with server:
+            with pytest.raises(SystemError):
+                server.submit("CRASH mid batch").result(timeout=30)
+            assert_idle_dispatch(server, "after the death")
+            assert server.stats.snapshot().worker_thread_deaths == 1
+
+    def test_batch_taken_with_stop_sentinel_leaves_no_busy_slot(self):
+        backend = GatedBackend()
+        server = InferenceServer(make_engine(backend), workers=1, max_wait_ms=200)
+        server.start()
+        held = server.submit("HOLD the only worker")
+        assert backend.entered.wait(timeout=30)
+        last = server.submit("queued ahead of the sentinel")
+        stopper = threading.Thread(target=server.stop, daemon=True)
+        stopper.start()
+        deadline = time.monotonic() + 10
+        while server.accepting and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert not server.accepting  # the sentinel is queued behind `last`
+        backend.release.set()
+        stopper.join(timeout=30)
+        assert not stopper.is_alive()
+        assert held.result(timeout=30).label in DIMENSIONS
+        assert last.result(timeout=30).label in DIMENSIONS
+        # The worker took `last` together with its sentinel and exited.
+        assert server._busy == [False]
+        with server:
+            assert_idle_dispatch(server, "next epoch")
+
+    def test_restart_after_stop_dispatches_at_once(self):
+        server = InferenceServer(
+            make_engine(SlowBackend(0.01)),
+            workers=2,
+            max_batch_size=4,
+            max_wait_ms=200,
+        )
+        with server:
+            server.predict([f"first epoch {i}" for i in range(16)])
+        with server:
+            assert_idle_dispatch(server, "second epoch")
