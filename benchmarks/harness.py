@@ -506,38 +506,46 @@ class FixedServiceBackend:
 
 
 def _closed_loop_measure(
-    server, one_request, *, n_clients: int, warmup_s: float, measure_s: float
+    servers, one_request, *, n_clients: int, warmup_s: float, measure_s: float
 ) -> dict:
     """Closed-loop clients calling ``one_request`` until time is up.
 
-    Shared by the ``serving_load`` and ``serving_http`` scenarios so the
-    measurement methodology (warm-up, snapshot-delta throughput, the
-    measurement window) cannot drift between them.  Throughput comes
-    from the server's stats delta; the latency percentiles come from
-    the *caller's* clock around each request, so for the HTTP scenario
-    they include everything the client pays (connection, JSON, parsing,
+    Shared by every closed-loop serving scenario so the measurement
+    methodology (warm-up, snapshot-delta throughput, the measurement
+    window) cannot drift between them.  Throughput comes from the sum of
+    the ``servers``' stats deltas (a fleet spreads traffic over several);
+    the latency percentiles come from the *caller's* clock around each
+    request completed inside the window, so for the HTTP scenarios they
+    include everything the client pays (connection, JSON, parsing,
     response write), not just the engine-internal queue time.
     """
+    from repro.loadgen import LatencyHistogram
+
     done = threading.Event()
+    measuring = threading.Event()
     client_errors: list[Exception] = []
-    all_latencies: list[tuple[float, float]] = []  # (completed_at, seconds)
+    latency = LatencyHistogram()
     collect_lock = threading.Lock()
 
     def client(i: int) -> None:
         n = 0
-        local: list[tuple[float, float]] = []
+        local = LatencyHistogram()
         try:
             while not done.is_set():
                 started = time.perf_counter()
                 one_request(f"client {i} request {n}")
-                finished = time.perf_counter()
-                local.append((finished, finished - started))
+                if measuring.is_set():
+                    local.record((time.perf_counter() - started) * 1000.0)
                 n += 1
         except Exception as error:  # noqa: BLE001 - recorded, fails the run
             client_errors.append(error)
         finally:
             with collect_lock:
-                all_latencies.extend(local)
+                latency.merge(local)
+
+    def totals() -> tuple[int, int]:
+        snaps = [server.stats.snapshot() for server in servers]
+        return sum(s.requests for s in snaps), sum(s.batches for s in snaps)
 
     threads = [
         threading.Thread(target=client, args=(i,), daemon=True)
@@ -546,35 +554,24 @@ def _closed_loop_measure(
     for t in threads:
         t.start()
     time.sleep(warmup_s)
-    before = server.stats.snapshot()
+    before, _ = totals()
     started = time.perf_counter()
+    measuring.set()
     time.sleep(measure_s)
-    after = server.stats.snapshot()
+    measuring.clear()
+    after, batches = totals()
     elapsed = time.perf_counter() - started
     done.set()
     for t in threads:
         t.join(timeout=10)
     if client_errors:
         raise AssertionError(f"closed-loop client failed: {client_errors[0]!r}")
-    window = sorted(
-        seconds
-        for completed_at, seconds in all_latencies
-        if started <= completed_at <= started + elapsed
-    )
-
-    def percentile_ms(q: float) -> float:
-        if not window:
-            return 0.0
-        idx = min(len(window) - 1, int(round(q / 100.0 * (len(window) - 1))))
-        return 1000.0 * window[idx]
-
     return {
-        "throughput": (after.requests - before.requests) / elapsed,
-        "p50_ms": percentile_ms(50),
-        "p95_ms": percentile_ms(95),
-        "p99_ms": percentile_ms(99),
-        "mean_batch": after.mean_batch_size,
-        "requests": after.requests,
+        "throughput": (after - before) / elapsed,
+        "p50_ms": latency.percentile(50),
+        "p95_ms": latency.percentile(95),
+        "p99_ms": latency.percentile(99),
+        "mean_batch": after / batches if batches else 0.0,
     }
 
 
@@ -614,7 +611,7 @@ def scenario_serving_load(quick: bool) -> dict:
         )
         with server:
             return _closed_loop_measure(
-                server,
+                [server],
                 lambda text: server.submit(text).result(timeout=30),
                 n_clients=n_clients,
                 warmup_s=warmup_s,
@@ -747,7 +744,7 @@ def scenario_serving_http(quick: bool) -> dict:
     inprocess_server = make_server()
     with inprocess_server:
         inprocess = _closed_loop_measure(
-            inprocess_server,
+            [inprocess_server],
             lambda text: inprocess_server.submit(text).result(timeout=30),
             n_clients=n_clients,
             warmup_s=warmup_s,
@@ -758,7 +755,7 @@ def scenario_serving_http(quick: bool) -> dict:
     with ServingGateway(http_server) as gateway:
         serving_client = ServingClient(gateway.url, deadline_s=30)
         http = _closed_loop_measure(
-            http_server,
+            [http_server],
             serving_client.predict,
             n_clients=n_clients,
             warmup_s=warmup_s,
@@ -767,7 +764,9 @@ def scenario_serving_http(quick: bool) -> dict:
         health = serving_client.healthz()
         assert health["status"] == "ok", health
         scraped = serving_client.metrics()
-        served = scraped[("holistix_server_requests_total", frozenset())]
+        served = scraped[
+            ("holistix_requests_total", frozenset({("model", "default")}))
+        ]
 
     return {
         "n_clients": n_clients,
@@ -875,7 +874,7 @@ def scenario_serving_mp(quick: bool) -> dict:
         with server:
             server.wait_ready(timeout=60)
             return _closed_loop_measure(
-                server,
+                [server],
                 lambda text: server.submit(text).result(timeout=30),
                 n_clients=n_clients,
                 warmup_s=warmup_s,
@@ -893,7 +892,7 @@ def scenario_serving_mp(quick: bool) -> dict:
         )
         with server:
             return _closed_loop_measure(
-                server,
+                [server],
                 lambda text: server.submit(text).result(timeout=30),
                 n_clients=n_clients,
                 warmup_s=warmup_s,
@@ -915,7 +914,7 @@ def scenario_serving_mp(quick: bool) -> dict:
             if hasattr(server, "wait_ready"):
                 server.wait_ready(timeout=60)
             return _closed_loop_measure(
-                server,
+                [server],
                 lambda text: server.submit(text).result(timeout=30),
                 n_clients=spin_clients,
                 warmup_s=warmup_s,
@@ -1463,34 +1462,6 @@ def scenario_serving_chaos(quick: bool) -> dict:
     }
 
 
-class _SummedServerStats:
-    """Duck-types the slice of a server ``_closed_loop_measure`` reads.
-
-    The fleet leg spreads traffic across two primary servers; throughput
-    must come from the sum of their stats deltas, so this shim presents
-    them as one ``server.stats.snapshot()`` surface.
-    """
-
-    class _Stats:
-        def __init__(self, servers) -> None:
-            self._servers = servers
-
-        def snapshot(self):
-            import types
-
-            snaps = [server.stats.snapshot() for server in self._servers]
-            requests = sum(s.requests for s in snaps)
-            batches = sum(s.batches for s in snaps)
-            return types.SimpleNamespace(
-                requests=requests,
-                batches=batches,
-                mean_batch_size=requests / batches if batches else 0.0,
-            )
-
-    def __init__(self, servers) -> None:
-        self.stats = self._Stats(servers)
-
-
 def scenario_serving_fleet(quick: bool) -> dict:
     """Fleet control-plane overhead versus single-model serving.
 
@@ -1536,7 +1507,7 @@ def scenario_serving_fleet(quick: bool) -> dict:
     with ServingGateway(single_server) as gateway:
         serving_client = ServingClient(gateway.url, deadline_s=30)
         single = _closed_loop_measure(
-            single_server,
+            [single_server],
             serving_client.predict,
             n_clients=n_clients,
             warmup_s=warmup_s,
@@ -1558,7 +1529,7 @@ def scenario_serving_fleet(quick: bool) -> dict:
     with ServingGateway(fleet_obj) as gateway:
         serving_client = ServingClient(gateway.url, deadline_s=30)
         fleet = _closed_loop_measure(
-            _SummedServerStats([champion, challenger]),
+            [champion, challenger],
             serving_client.predict,
             n_clients=n_clients,
             warmup_s=warmup_s,

@@ -44,7 +44,7 @@ def test_server_throughput(benchmark, dataset):
     served = [r.label for chunk in outputs for r in chunk]
     expected = [label for i in range(4) for label in direct[i::4]]
     assert served == expected
-    stats = server.stats
+    stats = server.stats.snapshot()
     print(
         f"\nserving: {stats.requests} requests in {stats.batches} batches "
         f"(mean batch {stats.mean_batch_size:.1f}); "

@@ -78,6 +78,7 @@ def main(baseline: str = "LR") -> None:
         f"(mean batch {snap.mean_batch_size:.1f}, largest {snap.largest_batch})"
     )
     print(f"  per-worker requests: {list(snap.per_worker_requests)}")
+    # Percentiles come from the epoch's latency histogram (within 2.5%).
     print(
         f"  throughput {snap.throughput():,.0f} req/s; latency "
         f"mean {snap.mean_latency_ms:.2f} ms, p95 "
@@ -127,8 +128,11 @@ def main(baseline: str = "LR") -> None:
         loaded = [m["name"] for m in client.models()["registry"] if m["loaded"]]
         print(f"  GET /v1/models -> loaded={loaded}")
         scraped = client.metrics()
-        served = scraped[("holistix_server_requests_total", frozenset())]
-        print(f"  GET /metrics -> holistix_server_requests_total {served:.0f}")
+        served = scraped[
+            ("holistix_requests_total", frozenset({("model", "default")}))
+        ]
+        family = 'holistix_requests_total{model="default"}'
+        print(f"  GET /metrics -> {family} {served:.0f}")
     print("  gateway drained and stopped; port released")
 
     print("\nForcing a 429 through an undersized shed-mode gateway...")

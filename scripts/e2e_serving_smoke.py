@@ -33,6 +33,7 @@ from repro.core.labels import DIMENSIONS  # noqa: E402
 from repro.core.pipeline import WellnessClassifier  # noqa: E402
 from repro.corpus.generator import GeneratorConfig  # noqa: E402
 from repro.serving.client import GatewayOverloaded, ServingClient  # noqa: E402
+from repro.serving.metrics import parse_metrics  # noqa: E402
 
 LABEL_CODES = {d.code for d in DIMENSIONS}
 
@@ -125,6 +126,34 @@ def check(condition: bool, message: str) -> None:
         raise AssertionError(message)
 
 
+def check_latency_histogram(samples: dict, model: str = "default") -> None:
+    """Pin the ``holistix_model_latency_ms`` histogram contract for ``model``.
+
+    Bucket counts never decrease as ``le`` rises, and the ``+Inf``
+    bucket, ``_count`` and ``holistix_requests_total`` agree.
+    """
+    buckets = sorted(
+        (float(dict(labels)["le"]), value)
+        for (name, labels), value in samples.items()
+        if name == "holistix_model_latency_ms_bucket"
+        and dict(labels)["model"] == model
+    )
+    counts = [value for _, value in buckets]
+    check(len(counts) > 1, f"no latency buckets for model {model!r}")
+    check(
+        all(a <= b for a, b in zip(counts, counts[1:])),
+        f"latency bucket counts decrease as le rises: {buckets}",
+    )
+    labels = frozenset({("model", model)})
+    inf = samples[("holistix_model_latency_ms_bucket", labels | {("le", "+Inf")})]
+    count = samples[("holistix_model_latency_ms_count", labels)]
+    served = samples[("holistix_requests_total", labels)]
+    check(
+        inf == count == served,
+        f"latency +Inf bucket {inf}, _count {count}, requests {served} differ",
+    )
+
+
 def phase_happy_path(checkpoint: Path, log_dir: Path) -> None:
     server = ServeProcess(
         "happy-path",
@@ -207,10 +236,15 @@ def phase_happy_path(checkpoint: Path, log_dir: Path) -> None:
             "HTTP batch counter != 1",
         )
         check(
-            metric("holistix_server_requests_total") == n_single + batch_size,
+            metric("holistix_requests_total", model="default")
+            == n_single + batch_size,
             "server text counter != texts sent",
         )
-        check(metric("holistix_server_shed_total") == 0, "unexpected sheds")
+        check(
+            metric("holistix_model_shed_total", model="default") == 0,
+            "unexpected sheds",
+        )
+        check_latency_histogram(samples)
         print(f"[e2e] metrics consistent after {n_single} + {batch_size} texts")
 
         code = server.terminate_gracefully()
@@ -348,7 +382,9 @@ def phase_forced_shed(checkpoint: Path, log_dir: Path) -> None:
         check(shed >= 1, f"expected at least one 429, got statuses {statuses}")
         check(served >= 1, f"expected at least one 200, got {statuses}")
         check(
-            client.metrics()[("holistix_server_shed_total", frozenset())]
+            client.metrics()[
+                ("holistix_model_shed_total", frozenset({("model", "default")}))
+            ]
             == shed,
             "shed counter != client-observed 429s",
         )
@@ -447,6 +483,7 @@ def phase_multiprocess(checkpoint: Path, log_dir: Path) -> None:
         batch = client.predict_batch(texts[:4])
         check(len(batch.predictions) == 4, f"batch mismatch: {batch.raw}")
         metrics_text = client.metrics_text()
+        check_latency_histogram(parse_metrics(metrics_text))
         check(
             "holistix_worker_process_alive" in metrics_text
             and "holistix_worker_process_restarts_total" in metrics_text,
@@ -581,7 +618,9 @@ def phase_chaos_admin(checkpoint: Path, log_dir: Path) -> None:
                 {"at_s": 0.2, "kind": "worker_crash", "target": 0},
             ],
         }
-        status, body = admin_post(url, "/v1/admin/chaos", token, plan)
+        status, body = admin_post(
+            url, "/v1/admin/chaos", token, {"model": "default", "plan": plan}
+        )
         check(
             status == 200 and body.get("status") == "armed",
             f"chaos arm failed: {status} {body}",
@@ -607,21 +646,17 @@ def phase_chaos_admin(checkpoint: Path, log_dir: Path) -> None:
         check(
             response.label in LABEL_CODES, f"bad post-crash label: {response.raw}"
         )
-        # A freshly respawned worker reports ``pid: None`` until its
-        # ready handshake is consumed; wait for concrete pids so the
-        # orphan sweep below has real targets.
+        # Wait until every slot is alive again so the orphan sweep below
+        # has the replacement's pid as a target.
         deadline = time.monotonic() + 30
         while True:
             health = client.wait_ready(deadline_s=30)
             replacement_pids = [p["pid"] for p in health["processes"]]
-            if all(
-                p["alive"] and p["pid"] is not None
-                for p in health["processes"]
-            ):
+            if all(p["alive"] for p in health["processes"]):
                 break
             check(
                 time.monotonic() < deadline,
-                f"replacement worker never reported a pid: {health}",
+                f"replacement worker never came alive: {health}",
             )
             time.sleep(0.2)
         print(

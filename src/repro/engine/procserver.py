@@ -169,7 +169,7 @@ def _worker_main(spec, conn) -> None:
     """Worker-process loop: build the engine, then serve batches.
 
     Protocol (parent -> worker): ``("batch", [texts])`` then one reply,
-    or ``("stop",)`` to exit.  Replies: ``("ready", pid)`` once after a
+    or ``("stop",)`` to exit.  Replies: ``("ready",)`` once after a
     successful build, then per batch either ``("result", probs, stats)``
     (cumulative :class:`EngineStats` piggybacks on every reply) or
     ``("error", summary, traceback)``.  EOF on the pipe means the parent
@@ -193,7 +193,7 @@ def _worker_main(spec, conn) -> None:
         conn.close()
         return
     try:
-        conn.send(("ready", os.getpid()))
+        conn.send(("ready",))
         while True:
             try:
                 message = conn.recv()
@@ -226,14 +226,19 @@ def _worker_main(spec, conn) -> None:
 # Parent side
 # ----------------------------------------------------------------------
 class _WorkerHandle:
-    """Parent-side record of one worker process and its dispatch pipe."""
+    """Parent-side record of one worker process and its dispatch pipe.
+
+    Built only after ``process.start()`` returned, so ``pid`` is the
+    child's real pid from the moment the handle is published — readers
+    never see a live slot without one.
+    """
 
     __slots__ = ("process", "conn", "pid", "error", "closed")
 
     def __init__(self, process, conn) -> None:
         self.process = process
         self.conn = conn
-        self.pid: int | None = None
+        self.pid: int = process.pid
         self.error: str | None = None
         self.closed = False
 
@@ -411,8 +416,9 @@ class ProcessInferenceServer(BatchingServerBase):
     def worker_processes(self) -> list[dict]:
         """Per-worker liveness for ``/healthz`` and ``/metrics``.
 
-        One dict per worker slot: ``worker``, ``pid`` (None before
-        ready/after stop), ``alive``, ``restarts``, ``crash_looping``.
+        One dict per worker slot: ``worker``, ``pid`` (None only while
+        the slot has no process, e.g. after stop), ``alive``,
+        ``restarts``, ``crash_looping``.
         """
         report = []
         for worker, handle in enumerate(self._handles):
@@ -539,7 +545,7 @@ class ProcessInferenceServer(BatchingServerBase):
                 if worker >= self.workers:
                     continue
                 handle = self._handles[worker]
-                if handle is not None and handle.alive() and handle.pid:
+                if handle is not None and handle.alive():
                     os.kill(handle.pid, signal.SIGKILL)
 
         injector.register("worker_crash", crash)
@@ -738,7 +744,6 @@ class ProcessInferenceServer(BatchingServerBase):
             handle.error = "worker process died during startup"
             return False
         if message[0] == "ready":
-            handle.pid = message[1]
             return True
         handle.error = f"{message[1]}\n--- remote traceback ---\n{message[2]}"
         return False

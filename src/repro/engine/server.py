@@ -39,6 +39,7 @@ from typing import TYPE_CHECKING
 from repro.analysis.lockcheck import create_lock, require_held
 from repro.core.labels import DIMENSIONS, WellnessDimension
 from repro.engine.engine import EngineStats, PredictionEngine
+from repro.loadgen.histogram import LatencyHistogram
 
 if TYPE_CHECKING:
     import numpy as np
@@ -103,27 +104,32 @@ class StatsSnapshot:
     """Immutable, internally consistent copy of the serving counters.
 
     Taken under the stats lock, so every field belongs to the same
-    instant and the percentile window cannot mutate mid-``sorted``.
-    ``latencies_ms`` is the bounded recent-request window the
-    percentiles are computed over.
+    instant.  ``latency`` is a private copy of the epoch's
+    :class:`~repro.loadgen.histogram.LatencyHistogram`: percentiles
+    cover every request served since ``start()`` and carry at most
+    ±2.5% relative error; ``total_latency_ms`` stays exact.  Treat the
+    histogram as read-only.
     """
 
     epoch: int
-    requests: int
     batches: int
     shed: int
     total_latency_ms: float
-    max_latency_ms: float
     largest_batch: int
     started_at: float | None
     stopped_at: float | None
     per_worker_requests: tuple[int, ...]
-    latencies_ms: tuple[float, ...]
-    # Trailing defaulted fields so older positional constructions keep
-    # working: serving-thread deaths (replaced in place) and requests
-    # shed because their propagated deadline could not be met.
-    worker_thread_deaths: int = 0
-    deadline_shed: int = 0
+    latency: LatencyHistogram
+    worker_thread_deaths: int
+    deadline_shed: int
+
+    @property
+    def requests(self) -> int:
+        return self.latency.count
+
+    @property
+    def max_latency_ms(self) -> float:
+        return self.latency.max_ms
 
     @property
     def mean_batch_size(self) -> float:
@@ -140,12 +146,8 @@ class StatsSnapshot:
         return self.shed / offered if offered else 0.0
 
     def latency_percentile(self, q: float) -> float:
-        """Latency at percentile ``q`` in [0, 100] over recent requests."""
-        if not self.latencies_ms:
-            return 0.0
-        ranked = sorted(self.latencies_ms)
-        idx = min(len(ranked) - 1, int(round(q / 100.0 * (len(ranked) - 1))))
-        return ranked[idx]
+        """Latency at percentile ``q`` in [0, 100] over this epoch (±2.5%)."""
+        return self.latency.percentile(q)
 
     def throughput(self) -> float:
         """Served requests per second of this epoch's uptime."""
@@ -159,23 +161,20 @@ class StatsSnapshot:
 class ServerStats:
     """Thread-safe aggregate serving counters.
 
-    All mutation happens under an internal lock; readers call
-    :meth:`snapshot` for an immutable, consistent view.  The legacy
-    attribute API (``stats.requests``, ``stats.mean_latency_ms``,
-    ``stats.latency_percentile(95)``, ``stats.throughput()``) is kept as
-    lock-taking delegates to a fresh snapshot.
+    The serving threads call the writers; every reader takes an
+    immutable, consistent :meth:`snapshot`.
 
     Counters are *epoched*: every ``InferenceServer.start()`` after a
     ``stop()`` resets them and bumps ``epoch``, so ``throughput()``
     never mixes a previous epoch's requests (or inter-epoch downtime)
-    into the current denominator.  Percentiles are computed over a
-    bounded window of the most recent requests so a long-running
-    server's memory stays constant.
+    into the current denominator.  Latencies land in a constant-memory
+    :class:`~repro.loadgen.histogram.LatencyHistogram`, so percentiles
+    are per-epoch (reset on ``start()`` like every counter) with at most
+    ±2.5% relative error, however long the server runs.
     """
 
-    def __init__(self, *, n_workers: int = 1, window: int = 10_000) -> None:
+    def __init__(self, *, n_workers: int = 1) -> None:
         self._lock = create_lock("server.stats")
-        self._window = window
         self._epoch = 0
         self._n_workers = n_workers
         with self._lock:
@@ -183,16 +182,14 @@ class ServerStats:
 
     def _reset_locked(self) -> None:
         require_held(self._lock, "ServerStats._reset_locked")
-        self._requests = 0
         self._batches = 0
         self._shed = 0
         self._total_latency_ms = 0.0
-        self._max_latency_ms = 0.0
         self._largest_batch = 0
         self._started_at: float | None = None
         self._stopped_at: float | None = None
         self._per_worker = [0] * self._n_workers
-        self._latencies_ms: deque[float] = deque(maxlen=self._window)
+        self._latency = LatencyHistogram()
         self._worker_deaths = 0
         self._deadline_shed = 0
 
@@ -216,12 +213,10 @@ class ServerStats:
         with self._lock:
             self._batches += 1
             self._largest_batch = max(self._largest_batch, len(latencies_ms))
-            self._requests += len(latencies_ms)
             self._per_worker[worker] += len(latencies_ms)
             for latency in latencies_ms:
                 self._total_latency_ms += latency
-                self._max_latency_ms = max(self._max_latency_ms, latency)
-                self._latencies_ms.append(latency)
+                self._latency.record(latency)
 
     def record_shed(self, n: int = 1) -> None:
         with self._lock:
@@ -244,111 +239,24 @@ class ServerStats:
             self._deadline_shed += n
 
     # ------------------------------------------------------------------
-    # Readers
+    # Reader
     # ------------------------------------------------------------------
     def snapshot(self) -> StatsSnapshot:
         """Consistent copy of every counter, taken under the lock."""
         with self._lock:
             return StatsSnapshot(
                 epoch=self._epoch,
-                requests=self._requests,
                 batches=self._batches,
                 shed=self._shed,
                 total_latency_ms=self._total_latency_ms,
-                max_latency_ms=self._max_latency_ms,
                 largest_batch=self._largest_batch,
                 started_at=self._started_at,
                 stopped_at=self._stopped_at,
                 per_worker_requests=tuple(self._per_worker),
-                latencies_ms=tuple(self._latencies_ms),
+                latency=self._latency.copy(),
                 worker_thread_deaths=self._worker_deaths,
                 deadline_shed=self._deadline_shed,
             )
-
-    @property
-    def epoch(self) -> int:
-        with self._lock:
-            return self._epoch
-
-    @property
-    def requests(self) -> int:
-        with self._lock:
-            return self._requests
-
-    @property
-    def batches(self) -> int:
-        with self._lock:
-            return self._batches
-
-    @property
-    def shed(self) -> int:
-        with self._lock:
-            return self._shed
-
-    @property
-    def worker_thread_deaths(self) -> int:
-        with self._lock:
-            return self._worker_deaths
-
-    @property
-    def deadline_shed(self) -> int:
-        with self._lock:
-            return self._deadline_shed
-
-    @property
-    def largest_batch(self) -> int:
-        with self._lock:
-            return self._largest_batch
-
-    @property
-    def max_latency_ms(self) -> float:
-        with self._lock:
-            return self._max_latency_ms
-
-    @property
-    def started_at(self) -> float | None:
-        with self._lock:
-            return self._started_at
-
-    @property
-    def stopped_at(self) -> float | None:
-        with self._lock:
-            return self._stopped_at
-
-    @property
-    def mean_batch_size(self) -> float:
-        # Scalar reads take the lock directly; only the percentile path
-        # needs the O(window) latency copy a snapshot makes.
-        with self._lock:
-            return self._requests / self._batches if self._batches else 0.0
-
-    @property
-    def mean_latency_ms(self) -> float:
-        with self._lock:
-            if not self._requests:
-                return 0.0
-            return self._total_latency_ms / self._requests
-
-    def latency_percentile(self, q: float) -> float:
-        """Latency at percentile ``q`` in [0, 100] over recent requests."""
-        with self._lock:
-            window = tuple(self._latencies_ms)
-        if not window:
-            return 0.0
-        ranked = sorted(window)
-        idx = min(len(ranked) - 1, int(round(q / 100.0 * (len(ranked) - 1))))
-        return ranked[idx]
-
-    def throughput(self) -> float:
-        """Served requests per second of the current epoch's uptime."""
-        with self._lock:
-            started, stopped = self._started_at, self._stopped_at
-            requests = self._requests
-        if started is None:
-            return 0.0
-        end = stopped if stopped is not None else time.perf_counter()
-        elapsed = end - started
-        return requests / elapsed if elapsed > 0 else 0.0
 
 
 class BatchingServerBase:

@@ -9,6 +9,11 @@ request open-loop runs feasible: the alternative (keeping every sample
 and sorting) is exactly the bounded-window shortcut that quietly drops
 the tail on long runs.
 
+Bucket ``i`` holds the values in ``(lowest_ms * growth**(i-1),
+lowest_ms * growth**i]``, so its upper edge (:meth:`upper_edge_ms`) is
+a Prometheus ``le`` bound and :meth:`cumulative_counts` yields exact
+``_bucket`` counts at any ladder of those edges.
+
 Histograms ``merge`` (same bucket config required) and round-trip
 through :meth:`to_dict`/:meth:`from_dict`, so per-worker histograms can
 be combined and a run's full latency distribution can be committed or
@@ -17,7 +22,10 @@ uploaded as an artifact next to the scalar percentiles.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
+from collections.abc import Sequence
 
 __all__ = ["LatencyHistogram"]
 
@@ -54,7 +62,14 @@ class LatencyHistogram:
     def _index(self, value_ms: float) -> int:
         if value_ms <= self.lowest_ms:
             return 0
-        return 1 + int(math.log(value_ms / self.lowest_ms) / self._log_growth)
+        index = math.ceil(math.log(value_ms / self.lowest_ms) / self._log_growth)
+        # The log can round a value near an edge into the neighbouring
+        # bucket; the edges themselves decide, so ``le`` counts are exact.
+        if value_ms > self.upper_edge_ms(index):
+            return index + 1
+        if value_ms <= self.upper_edge_ms(index - 1):
+            return index - 1
+        return index
 
     def _value_at(self, index: int) -> float:
         if index <= 0:
@@ -108,6 +123,24 @@ class LatencyHistogram:
             "max_ms": self.max_ms,
         }
 
+    def upper_edge_ms(self, index: int) -> float:
+        """Inclusive upper bound of bucket ``index``."""
+        return self.lowest_ms * self.growth**index
+
+    def cumulative_counts(self, indices: Sequence[int]) -> list[int]:
+        """Samples at or below each of the ascending bucket ``indices``.
+
+        Entry ``k`` counts every sample up to :meth:`upper_edge_ms` of
+        ``indices[k]``: the ``_bucket`` series of a Prometheus histogram
+        whose ``le`` ladder is those edges.
+        """
+        per_step = [0] * len(indices)
+        for index, n in self._counts.items():
+            step = bisect.bisect_left(indices, index)
+            if step < len(indices):
+                per_step[step] += n
+        return list(itertools.accumulate(per_step))
+
     def mean_ms(self) -> float:
         """Approximate mean from bucket midpoints (same error bound)."""
         if self.count == 0:
@@ -127,6 +160,14 @@ class LatencyHistogram:
         self.count += other.count
         self.max_ms = max(self.max_ms, other.max_ms)
         return self
+
+    def copy(self) -> "LatencyHistogram":
+        """An independent histogram with the same buckets and counts."""
+        clone = LatencyHistogram(lowest_ms=self.lowest_ms, growth=self.growth)
+        clone._counts = dict(self._counts)
+        clone.count = self.count
+        clone.max_ms = self.max_ms
+        return clone
 
     def to_dict(self) -> dict:
         return {

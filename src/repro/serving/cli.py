@@ -45,10 +45,6 @@ __all__ = ["main", "parse_model_spec"]
 
 log = logging.getLogger("repro.serving.cli")
 
-# Back-compat alias: the wrapper moved to the engine layer so
-# multi-process worker specs can rebuild it inside worker processes.
-_LatencyInjectedBackend = LatencyInjectedBackend
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(

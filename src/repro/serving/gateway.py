@@ -16,8 +16,8 @@ and speaks the JSON wire protocol defined in
 * ``GET /healthz`` — readiness (workers started, model loaded, not
   draining); load balancers should route on this.
 * ``GET /metrics`` — Prometheus text format: per-model counters and
-  latency quantiles from each entry's ``ServerStats.snapshot()`` plus
-  the aggregate families fed by the default entry.
+  latency histograms from each entry's ``ServerStats.snapshot()`` plus
+  gateway-level HTTP, worker and cache families.
 * ``GET /v1/models`` — the fleet status document: per-model state,
   pool size, traffic share, weights version, shed/latency counters,
   plus the baseline registry listing.
@@ -44,7 +44,6 @@ import math
 import socket
 import struct
 import threading
-import time
 import uuid
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -77,10 +76,6 @@ RETRY_AFTER_S = 1
 # Deadline-aware admission needs a latency signal before it sheds: below
 # this many served requests the observed p50 is noise, so nothing sheds.
 MIN_REQUESTS_FOR_DEADLINE_SHED = 50
-
-# How long an observed-p50 reading stays cached; computing a percentile
-# walks the whole stats window, which must not happen per request.
-P50_CACHE_TTL_S = 0.5
 
 
 class _GatewayHTTPServer(ThreadingHTTPServer):
@@ -612,20 +607,16 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
     def _admin_chaos(self, payload: dict, route: str) -> None:
         """Arm a fault plan on one entry's server.
 
-        The new body shape is ``{"model": ..., "plan": {...}}``; a body
-        without a ``plan`` key is the old form — the whole payload is
-        the :meth:`FaultPlan.to_dict` and the default entry is armed.
+        The body is ``{"model": ..., "plan": {...}}``, ``plan`` being a
+        :meth:`FaultPlan.to_dict`; ``model`` may be omitted on a
+        one-entry fleet.
         """
         from repro.chaos import FaultInjector, FaultPlan
 
-        if "plan" in payload:
-            plan_dict = payload["plan"]
-            if not isinstance(plan_dict, dict):
-                raise ProtocolError(400, "bad_plan", "plan must be a JSON object")
-            entry = self._admin_entry(payload, verb="arm chaos on")
-        else:
-            plan_dict = payload
-            entry = self.gateway.fleet.default_entry
+        plan_dict = payload.get("plan")
+        if not isinstance(plan_dict, dict):
+            raise ProtocolError(400, "bad_plan", 'field "plan" must be a JSON object')
+        entry = self._admin_entry(payload, verb="arm chaos on")
         try:
             plan = FaultPlan.from_dict(plan_dict)
         except (KeyError, TypeError, ValueError) as error:
@@ -786,9 +777,6 @@ class ServingGateway:
         self._draining = False
         self._owned_entries: tuple[ModelEntry, ...] = ()
         self._lock = create_lock("gateway.lifecycle")
-        self._p50_lock = create_lock("gateway.p50")
-        self._p50_ms: dict[str, float] = {}
-        self._p50_read_at: dict[str, float] = {}
 
     # ------------------------------------------------------------------
     # Default-entry views (the pre-fleet surface, still load-bearing)
@@ -853,28 +841,18 @@ class ServingGateway:
         return {"armed": injector.armed, "injected": injector.applied_counts()}
 
     def observed_p50_ms(self, entry: ModelEntry | None = None) -> float:
-        """Cached p50 service latency for deadline-aware admission.
+        """The entry's p50 service latency, for deadline-aware admission.
 
-        Per fleet entry (each pool has its own latency profile): 0.0
-        until :data:`MIN_REQUESTS_FOR_DEADLINE_SHED` requests have been
-        served this epoch (no shedding on noise), refreshed at most
-        every :data:`P50_CACHE_TTL_S` (a percentile walks the whole
-        stats window — too expensive per request).  Defaults to the
-        default entry.
+        Per fleet entry (each pool has its own latency profile), read
+        from a fresh stats snapshot on every call: 0.0 until
+        :data:`MIN_REQUESTS_FOR_DEADLINE_SHED` requests have been served
+        this epoch (no shedding on noise).  Defaults to the default
+        entry.
         """
-        if entry is None:
-            entry = self.fleet.default_entry
-        now = time.monotonic()
-        with self._p50_lock:
-            read_at = self._p50_read_at.get(entry.name, -math.inf)
-            if now - read_at >= P50_CACHE_TTL_S:
-                snapshot = entry.server.stats.snapshot()
-                if snapshot.requests >= MIN_REQUESTS_FOR_DEADLINE_SHED:
-                    self._p50_ms[entry.name] = snapshot.latency_percentile(50)
-                else:
-                    self._p50_ms[entry.name] = 0.0
-                self._p50_read_at[entry.name] = now
-            return self._p50_ms[entry.name]
+        snapshot = (entry or self.fleet.default_entry).server.stats.snapshot()
+        if snapshot.requests < MIN_REQUESTS_FOR_DEADLINE_SHED:
+            return 0.0
+        return snapshot.latency_percentile(50)
 
     # ------------------------------------------------------------------
     # State

@@ -16,8 +16,24 @@ from collections.abc import Iterable
 from repro.analysis.lockcheck import create_lock
 from repro.engine.engine import EngineStats
 from repro.engine.server import StatsSnapshot
+from repro.loadgen.histogram import LatencyHistogram
 
-__all__ = ["HttpCounters", "parse_metrics", "render_metrics"]
+__all__ = [
+    "LATENCY_LADDER",
+    "LATENCY_LE",
+    "HttpCounters",
+    "parse_metrics",
+    "render_metrics",
+]
+
+#: Recorder bucket indices used as the ``le`` ladder of
+#: ``holistix_model_latency_ms``: every 14th edge of the stats
+#: histogram (1.05**14 ≈ 1.98, so about 2× apart), 0.01 ms to ~66 s.
+#: The edges are the recorder's own, so every ``_bucket`` count is exact
+#: and sums across fleet entries.
+LATENCY_LADDER = tuple(range(0, 23 * 14 + 1, 14))
+#: The ``le`` label values: each edge in ms, as its exact float repr.
+LATENCY_LE = tuple(repr(LatencyHistogram().upper_edge_ms(i)) for i in LATENCY_LADDER)
 
 
 class HttpCounters:
@@ -78,10 +94,10 @@ def render_metrics(
     with ``name``, its own ``snapshot`` (:class:`StatsSnapshot`),
     ``traffic_share``, ``weights_version``, and ``shadow``.  The A/B
     split is audited from ``holistix_requests_total{model=...}``;
-    ``shadow`` (``{"submitted": n, "failed": n}``) counts mirrored
-    shadow traffic fleet-wide.  The unlabelled ``holistix_server_*``
-    families remain the default entry's view, so single-model
-    dashboards keep working unchanged.
+    latency is the ``holistix_model_latency_ms`` histogram on the
+    :data:`LATENCY_LADDER` edges.  ``shadow`` (``{"submitted": n,
+    "failed": n}``) counts mirrored shadow traffic fleet-wide.
+    ``snapshot`` is the default entry's, for the per-worker families.
     """
     lines: list[str] = []
 
@@ -110,38 +126,6 @@ def render_metrics(
         ],
     )
     family(
-        "holistix_server_requests_total",
-        "counter",
-        "Texts served by the inference server this epoch.",
-        [_sample("holistix_server_requests_total", snapshot.requests)],
-    )
-    family(
-        "holistix_server_batches_total",
-        "counter",
-        "Coalesced inference batches executed this epoch.",
-        [_sample("holistix_server_batches_total", snapshot.batches)],
-    )
-    family(
-        "holistix_server_shed_total",
-        "counter",
-        "Requests rejected by shed-mode admission this epoch.",
-        [_sample("holistix_server_shed_total", snapshot.shed)],
-    )
-    family(
-        "holistix_server_shed_rate",
-        "gauge",
-        "Fraction of offered requests shed this epoch.",
-        [_sample("holistix_server_shed_rate", snapshot.shed_rate)],
-    )
-    family(
-        "holistix_server_deadline_shed_total",
-        "counter",
-        "Requests shed because their propagated deadline budget could "
-        "not cover the observed p50 service time (distinct from "
-        "overload sheds).",
-        [_sample("holistix_server_deadline_shed_total", snapshot.deadline_shed)],
-    )
-    family(
         "holistix_worker_thread_deaths_total",
         "counter",
         "Serving threads that died on an unexpected exception and were "
@@ -152,26 +136,6 @@ def render_metrics(
                 snapshot.worker_thread_deaths,
             )
         ],
-    )
-    latency_samples = [
-        _sample(
-            "holistix_server_latency_ms",
-            snapshot.latency_percentile(q),
-            {"quantile": str(q / 100.0)},
-        )
-        for q in (50, 95, 99)
-    ]
-    latency_samples.append(
-        _sample("holistix_server_latency_ms_sum", snapshot.total_latency_ms)
-    )
-    latency_samples.append(
-        _sample("holistix_server_latency_ms_count", snapshot.requests)
-    )
-    family(
-        "holistix_server_latency_ms",
-        "summary",
-        "Queue-to-response latency quantiles over the recent-request window.",
-        latency_samples,
     )
     family(
         "holistix_worker_requests_total",
@@ -231,126 +195,87 @@ def render_metrics(
             ],
         )
     if models is not None:
-        family(
+
+        def per_model(name: str, kind: str, help_text: str, value) -> None:
+            family(
+                name,
+                kind,
+                help_text,
+                [_sample(name, value(m), {"model": m["name"]}) for m in models],
+            )
+
+        per_model(
             "holistix_requests_total",
             "counter",
             "Texts served per fleet entry this epoch (the A/B split audit).",
-            [
-                _sample(
-                    "holistix_requests_total",
-                    m["snapshot"].requests,
-                    {"model": m["name"]},
-                )
-                for m in models
-            ],
+            lambda m: m["snapshot"].requests,
         )
-        family(
+        per_model(
+            "holistix_model_batches_total",
+            "counter",
+            "Coalesced inference batches executed per fleet entry this epoch.",
+            lambda m: m["snapshot"].batches,
+        )
+        per_model(
             "holistix_model_shed_total",
             "counter",
             "Requests rejected by shed-mode admission, per fleet entry.",
-            [
-                _sample(
-                    "holistix_model_shed_total",
-                    m["snapshot"].shed,
-                    {"model": m["name"]},
-                )
-                for m in models
-            ],
+            lambda m: m["snapshot"].shed,
         )
-        family(
+        per_model(
             "holistix_model_deadline_shed_total",
             "counter",
             "Requests shed for an uncoverable deadline, per fleet entry.",
-            [
-                _sample(
-                    "holistix_model_deadline_shed_total",
-                    m["snapshot"].deadline_shed,
-                    {"model": m["name"]},
-                )
-                for m in models
-            ],
+            lambda m: m["snapshot"].deadline_shed,
         )
-        family(
+        per_model(
             "holistix_model_shed_rate",
             "gauge",
             "Fraction of offered requests shed this epoch, per fleet entry.",
-            [
-                _sample(
-                    "holistix_model_shed_rate",
-                    m["snapshot"].shed_rate,
-                    {"model": m["name"]},
-                )
-                for m in models
-            ],
+            lambda m: m["snapshot"].shed_rate,
         )
         model_latency: list[str] = []
         for m in models:
+            snapshot, labels = m["snapshot"], {"model": m["name"]}
+            counts = snapshot.latency.cumulative_counts(LATENCY_LADDER)
             model_latency.extend(
-                _sample(
-                    "holistix_model_latency_ms",
-                    m["snapshot"].latency_percentile(q),
-                    {"model": m["name"], "quantile": str(q / 100.0)},
-                )
-                for q in (50, 95, 99)
+                _sample("holistix_model_latency_ms_bucket", n, {**labels, "le": le})
+                for le, n in zip(LATENCY_LE, counts)
             )
-            model_latency.append(
+            model_latency += [
                 _sample(
-                    "holistix_model_latency_ms_sum",
-                    m["snapshot"].total_latency_ms,
-                    {"model": m["name"]},
-                )
-            )
-            model_latency.append(
+                    "holistix_model_latency_ms_bucket",
+                    snapshot.requests,
+                    {**labels, "le": "+Inf"},
+                ),
                 _sample(
-                    "holistix_model_latency_ms_count",
-                    m["snapshot"].requests,
-                    {"model": m["name"]},
-                )
-            )
+                    "holistix_model_latency_ms_sum", snapshot.total_latency_ms, labels
+                ),
+                _sample("holistix_model_latency_ms_count", snapshot.requests, labels),
+            ]
         family(
             "holistix_model_latency_ms",
-            "summary",
-            "Queue-to-response latency quantiles per fleet entry.",
+            "histogram",
+            "Queue-to-response latency per fleet entry, this epoch.",
             model_latency,
         )
-        family(
+        per_model(
             "holistix_model_traffic_share",
             "gauge",
             "Configured fraction of A/B-split traffic, per fleet entry.",
-            [
-                _sample(
-                    "holistix_model_traffic_share",
-                    m["traffic_share"],
-                    {"model": m["name"]},
-                )
-                for m in models
-            ],
+            lambda m: m["traffic_share"],
         )
-        family(
+        per_model(
             "holistix_model_weights_version",
             "gauge",
             "Version token of the entry's served weights (0 = never reloaded).",
-            [
-                _sample(
-                    "holistix_model_weights_version",
-                    m["weights_version"],
-                    {"model": m["name"]},
-                )
-                for m in models
-            ],
+            lambda m: m["weights_version"],
         )
-        family(
+        per_model(
             "holistix_model_shadow",
             "gauge",
             "1 for shadow entries (mirrored traffic, never answering).",
-            [
-                _sample(
-                    "holistix_model_shadow",
-                    1 if m["shadow"] else 0,
-                    {"model": m["name"]},
-                )
-                for m in models
-            ],
+            lambda m: 1 if m["shadow"] else 0,
         )
     if shadow is not None:
         family(

@@ -74,7 +74,8 @@ class TestDocumentation:
             "holistix-serve",
             "curl",
             "Retry-After",
-            "holistix_server_requests_total",
+            "holistix_requests_total",
+            "histogram_quantile",
         ):
             assert needle in text, needle
 

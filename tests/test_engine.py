@@ -341,9 +341,10 @@ class TestInferenceServer:
         with server:
             results = server.predict(texts)
         assert [r.label for r in results] == direct
-        assert server.stats.requests == len(texts)
-        assert 1 <= server.stats.batches <= len(texts)
-        assert server.stats.mean_latency_ms >= 0.0
+        snap = server.stats.snapshot()
+        assert snap.requests == len(texts)
+        assert 1 <= snap.batches <= len(texts)
+        assert snap.mean_latency_ms >= 0.0
 
     def test_submit_requires_running_server(self, fitted_lr):
         server = InferenceServer(fitted_lr.engine)

@@ -71,6 +71,6 @@ class TestExamples:
         assert "shed rate" in out
         assert "/healthz -> {'status': 'ok'" in out
         assert "POST /v1/predict top_k=2 ->" in out
-        assert "holistix_server_requests_total" in out
+        assert 'holistix_requests_total{model="default"}' in out
         assert "gateway drained and stopped" in out
         assert "answered 429" in out

@@ -16,6 +16,7 @@ p99 while the open-loop one surfaces it, and the gap must stay >= 2x.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 
@@ -146,6 +147,24 @@ class TestLatencyHistogram:
         assert left.count == combined.count
         assert left.percentile(99) == combined.percentile(99)
         assert left.max_ms == combined.max_ms
+
+    def test_bucket_edges_are_inclusive_upper_bounds(self):
+        # A value on an edge counts at that edge's ``le``; one just above
+        # it does not — for every edge, despite float rounding in the log.
+        for index in range(1, 400):
+            edge = LatencyHistogram().upper_edge_ms(index)
+            for value, below in ((edge, 1), (math.nextafter(edge, math.inf), 0)):
+                histogram = LatencyHistogram()
+                histogram.record(value)
+                assert histogram.cumulative_counts([index]) == [below], value
+
+    def test_cumulative_counts_at_a_ladder(self):
+        histogram = LatencyHistogram()
+        for value in (0.005, 0.01, 0.4, 0.4, 3.0, 90.0):
+            histogram.record(value)
+        ladder = [0, 40, 80, 120]  # edges 0.01, ~0.07, ~0.5, ~3.5 ms
+        assert histogram.cumulative_counts(ladder) == [2, 2, 4, 5]
+        assert histogram.copy().cumulative_counts(ladder) == [2, 2, 4, 5]
 
     def test_merge_rejects_different_buckets(self):
         with pytest.raises(ValueError):

@@ -98,6 +98,13 @@ def make_broken_engine():
     raise RuntimeError("this factory always fails")
 
 
+def make_slow_starting_engine():
+    # Runs in the worker before it sends "ready": holds every (re)spawn
+    # in the started-but-not-ready window for half a second.
+    time.sleep(0.5)
+    return make_hash_engine()
+
+
 # ----------------------------------------------------------------------
 # Fixtures
 # ----------------------------------------------------------------------
@@ -317,6 +324,36 @@ class TestWorkerSupervision:
             assert server.ensure_workers() == 1
             assert all(p["alive"] for p in server.worker_processes())
             assert server.ensure_workers() == 0  # nothing left to revive
+
+    def test_live_slot_reports_its_pid_throughout_a_respawn(self):
+        server = ProcessInferenceServer.from_factory(
+            make_slow_starting_engine,
+            workers=1,
+            max_batch_size=2,
+            supervisor_interval_s=3600.0,  # only ensure_workers respawns
+        )
+        with server:
+            server.wait_ready(timeout=120)
+            victim = server.worker_processes()[0]["pid"]
+            os.kill(victim, signal.SIGKILL)
+            deadline = time.monotonic() + 30
+            while server.worker_processes()[0]["alive"]:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            respawn = threading.Thread(target=server.ensure_workers)
+            respawn.start()
+            reports = []
+            while respawn.is_alive():
+                reports.extend(server.worker_processes())
+                time.sleep(0.005)
+            respawn.join()
+            alive = [r for r in reports if r["alive"]]
+            # The replacement was published and alive while its factory
+            # slept, so the window was observed — with a pid every time.
+            assert any(r["pid"] != victim for r in alive), reports
+            assert all(isinstance(r["pid"], int) for r in alive), alive
+            final = server.worker_processes()[0]
+            assert final["alive"] and final["restarts"] == 1
 
     def test_remote_inference_error_surfaces_without_killing_worker(self):
         server = ProcessInferenceServer.from_factory(

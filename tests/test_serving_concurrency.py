@@ -11,6 +11,7 @@ milliseconds without training a model.
 from __future__ import annotations
 
 import hashlib
+import math
 import threading
 import time
 from collections.abc import Sequence
@@ -142,8 +143,8 @@ class TestBackpressure:
                     sheds += 1
             # Admitted requests still drain and resolve on stop.
         assert sheds > 0
-        assert server.stats.shed == sheds
         snap = server.stats.snapshot()
+        assert snap.shed == sheds
         assert snap.shed_rate == pytest.approx(sheds / (sheds + snap.requests))
         for f in admitted:
             assert f.result(timeout=5).label in DIMENSIONS
@@ -165,7 +166,7 @@ class TestBackpressure:
         # 10 serial 20 ms batches behind a 2-deep queue: the submit loop
         # itself must have blocked waiting for space.
         assert submit_elapsed > 0.05
-        assert server.stats.shed == 0
+        assert server.stats.snapshot().shed == 0
         assert [r.text for r in results] == [f"steady {i}" for i in range(10)]
 
     def test_stop_unblocks_waiting_submitter_with_server_closed(self):
@@ -252,7 +253,7 @@ class TestDrainAndStopRaces:
         assert admitted
         for f in admitted:
             assert f.result(timeout=5).label in DIMENSIONS
-        assert server.stats.requests == len(admitted)
+        assert server.stats.snapshot().requests == len(admitted)
         with pytest.raises(ServerClosed):
             server.submit("too late")
 
@@ -344,49 +345,85 @@ class TestStatsSnapshot:
         assert snap.batches == 2
         assert snap.largest_batch == 3
         assert snap.per_worker_requests == (3, 1)
-        assert snap.latencies_ms == (1.0, 2.0, 3.0, 4.0)
-        assert snap.mean_latency_ms == pytest.approx(2.5)
-        assert snap.latency_percentile(0) == 1.0
+        assert snap.latency.count == 4
+        assert snap.mean_batch_size == pytest.approx(2.0)
+        assert snap.mean_latency_ms == pytest.approx(2.5)  # exact, not bucketed
+        assert snap.latency_percentile(0) == pytest.approx(1.0, rel=0.025)
         assert snap.latency_percentile(100) == 4.0
+        assert snap.max_latency_ms == 4.0
         with pytest.raises(AttributeError):
             snap.requests = 99  # frozen
-        # The legacy attribute API delegates to a snapshot.
-        assert stats.requests == 4
-        assert stats.mean_batch_size == pytest.approx(2.0)
-        assert stats.latency_percentile(100) == 4.0
+        # Later writes never reach a snapshot already taken.
+        stats.record_batch([500.0])
+        assert snap.requests == 4
+        assert snap.latency_percentile(100) == 4.0
 
     def test_percentile_reads_race_concurrent_writers(self):
-        """Regression: latency_percentile used to sort the live deque the
-        worker was appending to — sorted() over a mutating deque raises
-        RuntimeError.  Hammer reads against a writer thread."""
-        stats = ServerStats(window=4096)
+        """Percentile reads race the serving thread's writes: the
+        snapshot must copy the histogram's bucket dict under the stats
+        lock (iterating a dict another thread grows raises
+        RuntimeError).  Hammer reads against a writer thread."""
+        stats = ServerStats()
         stats.mark_started()
         done = threading.Event()
 
         def writer():
+            n = 0
             while not done.is_set():
-                stats.record_batch([1.0, 2.0, 3.0, 4.0] * 8)
+                # Fresh latencies keep adding buckets to the dict.
+                stats.record_batch([1.0 + (n % 1000) / 250.0] * 8)
+                n += 1
 
         thread = threading.Thread(target=writer)
         thread.start()
         try:
             deadline = time.perf_counter() + 0.4
             while time.perf_counter() < deadline:
-                p95 = stats.latency_percentile(95)
-                assert 0.0 <= p95 <= 4.0
-                assert stats.mean_latency_ms >= 0.0
-                stats.snapshot()
+                snap = stats.snapshot()
+                assert 0.0 <= snap.latency_percentile(95) <= 5.0
+                assert snap.mean_latency_ms >= 0.0
         finally:
             done.set()
             thread.join(timeout=5)
         assert not thread.is_alive()
 
-    def test_window_bounds_percentile_memory(self):
-        stats = ServerStats(window=8)
+    def test_percentiles_within_two_and_a_half_percent_of_exact(self):
+        rng = np.random.default_rng(3)
+        samples = rng.lognormal(mean=1.0, sigma=0.8, size=5000)
+        stats = ServerStats()
         stats.mark_started()
-        stats.record_batch([float(i) for i in range(32)])
-        assert len(stats.snapshot().latencies_ms) == 8
-        assert stats.latency_percentile(0) == 24.0  # oldest retained
+        for start in range(0, len(samples), 32):
+            stats.record_batch(samples[start : start + 32].tolist())
+        snap = stats.snapshot()
+        ranked = np.sort(samples)
+        for q in (1, 10, 50, 90, 95, 99, 99.9):
+            # Nearest-rank quantile: the ceil(n * q / 100)-th smallest.
+            exact = ranked[max(1, math.ceil(len(ranked) * q / 100.0)) - 1]
+            assert snap.latency_percentile(q) == pytest.approx(exact, rel=0.025)
+        assert snap.total_latency_ms == pytest.approx(samples.sum())
+
+    def test_bucket_count_stays_bounded(self):
+        stats = ServerStats()
+        stats.mark_started()
+        values = np.linspace(0.05, 5_000.0, 100_000)
+        for start in range(0, len(values), 500):
+            stats.record_batch(values[start : start + 500].tolist())
+        snap = stats.snapshot()
+        assert snap.requests == 100_000
+        # 0.05 ms .. 5 s at 5% buckets: ~237 buckets, not 100k samples.
+        assert len(snap.latency.to_dict()["counts"]) < 260
+        assert snap.latency_percentile(100) == 5_000.0
+
+    def test_percentiles_reset_each_epoch(self):
+        stats = ServerStats()
+        stats.mark_started()
+        stats.record_batch([100.0] * 10)
+        stats.mark_stopped()
+        stats.mark_started()
+        stats.record_batch([1.0])
+        snap = stats.snapshot()
+        assert snap.epoch == 2 and snap.requests == 1
+        assert snap.latency_percentile(99) == 1.0
 
 
 class TestServerLifecycle:

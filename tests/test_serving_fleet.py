@@ -4,8 +4,8 @@ Covers the :class:`ModelFleet` routing table (explicit ``model`` >
 seeded A/B split > default), shadow entries (scored, counted, never
 answering), the redesigned ``/v1`` wire surface over a multi-entry
 fleet (``served_by`` envelopes, the fleet status document, per-model
-Prometheus families), per-model admin selectors, and the deprecated
-dict-shim on the typed client results.
+Prometheus families, including the mergeable latency histogram),
+per-model admin selectors, and the typed client results.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from repro.serving.client import (
 )
 from repro.serving.fleet import ModelEntry, ModelFleet, UnknownModelError
 from repro.serving.gateway import ServingGateway
+from repro.serving.metrics import LATENCY_LE, parse_metrics
 
 
 class DeterministicBackend:
@@ -260,12 +261,81 @@ class TestFleetGateway:
         assert value("holistix_model_weights_version", model="champion") == 0
         assert value("holistix_shadow_submitted_total") >= 7
         assert value("holistix_shadow_failed_total") == 0
-        for q in ("0.5", "0.95", "0.99"):
-            assert (
-                value("holistix_model_latency_ms", model="champion", quantile=q)
-                >= 0.0
-            )
+        assert value("holistix_model_batches_total", model="champion") >= 1
         assert value("holistix_model_latency_ms_count", model="champion") == 6
+        assert value("holistix_model_latency_ms_sum", model="champion") > 0.0
+
+    def test_latency_histogram_buckets_are_cumulative_and_share_one_ladder(
+        self, gateway
+    ):
+        client = ServingClient(gateway.url, deadline_s=10)
+        for i in range(5):
+            client.predict(f"ladder {i}", model="champion")
+        client.predict("ladder for the challenger", model="challenger")
+        first = client.metrics_text()
+        client.predict("one more", model="champion")
+        second = client.metrics_text()
+        assert "# TYPE holistix_model_latency_ms histogram" in first
+        ladders = set()
+        for text in (first, second):
+            samples = parse_metrics(text)
+            for model in ("champion", "challenger"):
+                buckets = latency_buckets(samples, model)
+                les = [le for le, _ in buckets]
+                counts = [n for _, n in buckets]
+                assert les[-1] == "+Inf"
+                assert counts == sorted(counts)  # non-decreasing in le
+                labels = frozenset({("model", model)})
+                assert counts[-1] == samples[
+                    ("holistix_model_latency_ms_count", labels)
+                ]
+                assert counts[-1] == samples[("holistix_requests_total", labels)]
+                ladders.add(tuple(les))
+        assert ladders == {tuple(LATENCY_LE) + ("+Inf",)}
+
+    def test_bucket_counts_sum_across_models(self):
+        """Two entries' buckets add up to one histogram fed both streams."""
+        from repro.engine.engine import EngineStats
+        from repro.engine.server import ServerStats
+        from repro.serving.metrics import render_metrics
+
+        rng = np.random.default_rng(11)
+        streams = {
+            "a": rng.lognormal(0.5, 1.0, 400).tolist(),
+            "b": rng.lognormal(2.0, 0.5, 300).tolist(),
+        }
+        both = ServerStats()
+        both.mark_started()
+        models = []
+        for name, latencies in streams.items():
+            stats = ServerStats()
+            stats.mark_started()
+            stats.record_batch(latencies)
+            both.record_batch(latencies)
+            models.append(
+                {
+                    "name": name,
+                    "snapshot": stats.snapshot(),
+                    "traffic_share": 0.5,
+                    "weights_version": 0,
+                    "shadow": False,
+                }
+            )
+        models.append({**models[0], "name": "both", "snapshot": both.snapshot()})
+        samples = parse_metrics(
+            render_metrics(
+                both.snapshot(), EngineStats(), {}, ready=True, model_id="m",
+                models=models,
+            )
+        )
+        summed = [
+            (le_a, n_a + n_b)
+            for (le_a, n_a), (le_b, n_b) in zip(
+                latency_buckets(samples, "a"), latency_buckets(samples, "b")
+            )
+        ]
+        assert summed == latency_buckets(samples, "both")
+        assert summed[-1] == ("+Inf", 700)
 
     def test_observed_split_matches_metrics_counters(self, gateway):
         # Deterministic audit: the fleet's own hash decides each
@@ -328,14 +398,30 @@ class TestFleetGateway:
         assert payload["model"] == "challenger"
         assert gateway.fleet.entry("challenger").server.chaos is not None
         assert gateway.fleet.entry("champion").server.chaos is None
-        # Old selector-less form still arms the default entry's server.
-        status, payload = _admin_post(gateway, "/v1/admin/chaos", plan)
+        # Re-arming the default entry moves the injector off the
+        # previously armed server.
+        status, payload = _admin_post(
+            gateway, "/v1/admin/chaos", {"model": "champion", "plan": plan}
+        )
         assert status == 200
         assert payload["model"] == "champion"
         assert gateway.fleet.entry("champion").server.chaos is not None
-        # Re-arming moved the injector off the previously armed server.
         assert gateway.fleet.entry("challenger").server.chaos is None
         gateway.disarm_chaos()
+
+    def test_admin_chaos_body_without_plan_is_rejected(self, gateway):
+        from repro.chaos import FaultEvent, FaultPlan
+
+        # The plan-as-body form: the whole payload is a FaultPlan.
+        plan = FaultPlan(
+            seed=7,
+            events=(FaultEvent(at_s=0.0, kind="slow_batch", duration_s=30.0),),
+        ).to_dict()
+        for body in (plan, {"model": "champion"}, {"plan": [1, 2]}):
+            status, payload = _admin_post(gateway, "/v1/admin/chaos", body)
+            assert status == 400, body
+            assert payload["error"]["code"] == "bad_plan"
+        assert all(e.server.chaos is None for e in gateway.fleet.entries)
 
     def test_gateway_owns_only_entries_it_started(self):
         running = make_server("pre@1").start()
@@ -371,39 +457,7 @@ class TestSingleServerCompatibility:
             assert result.model_id == "solo@1"
 
 
-class TestDeprecatedDictShim:
-    def test_predict_result_dict_access_warns(self):
-        raw = {
-            "label": "IA",
-            "latency_ms": 1.0,
-            "model_id": "m@1",
-            "served_by": {"model": "default", "weights_version": 2},
-        }
-        result = PredictResult.from_raw(raw)
-        assert result.label == "IA"
-        assert result.served_by.weights_version == 2
-        with pytest.warns(DeprecationWarning, match="dict-style access"):
-            assert result["label"] == "IA"
-        with pytest.warns(DeprecationWarning):
-            assert "label" in result
-        with pytest.warns(DeprecationWarning):
-            assert result.get("missing", "fallback") == "fallback"
-
-    def test_batch_result_dict_access_warns(self):
-        raw = {
-            "model_id": "m@1",
-            "served_by": {"model": "default", "weights_version": 0},
-            "predictions": [{"label": "IA", "latency_ms": 0.5}],
-        }
-        batch = PredictBatchResult.from_raw(raw)
-        assert len(batch) == 1
-        assert batch.predictions[0].label == "IA"
-        assert batch.predictions[0].served_by.model == "default"
-        with pytest.warns(DeprecationWarning, match="dict-style access"):
-            assert batch["model_id"] == "m@1"
-        with pytest.warns(DeprecationWarning):
-            assert "predictions" in batch
-
+class TestTypedResults:
     def test_typed_access_does_not_warn(self):
         import warnings
 
@@ -414,6 +468,31 @@ class TestDeprecatedDictShim:
             assert result.probabilities is None
             assert result.served_by is None
             assert result.raw["label"] == "IA"
+
+    def test_batch_result_carries_the_envelope_to_each_prediction(self):
+        raw = {
+            "model_id": "m@1",
+            "served_by": {"model": "default", "weights_version": 2},
+            "predictions": [{"label": "IA", "latency_ms": 0.5}],
+        }
+        batch = PredictBatchResult.from_raw(raw)
+        assert len(batch) == 1
+        assert batch.predictions[0].label == "IA"
+        assert batch.predictions[0].model_id == "m@1"
+        assert batch.predictions[0].served_by.weights_version == 2
+        with pytest.raises(TypeError):
+            batch["model_id"]  # noqa: B018 - the dict shim is gone
+
+
+def latency_buckets(samples: dict, model: str) -> list[tuple[str, float]]:
+    """``(le, count)`` of one model's latency histogram, in ``le`` order."""
+    buckets = [
+        (dict(labels)["le"], value)
+        for (name, labels), value in samples.items()
+        if name == "holistix_model_latency_ms_bucket"
+        and dict(labels)["model"] == model
+    ]
+    return sorted(buckets, key=lambda bucket: float(bucket[0]))
 
 
 def _admin_post(gateway, path: str, payload: dict) -> tuple[int, dict]:

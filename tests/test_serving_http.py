@@ -530,16 +530,20 @@ class TestMetrics:
                 endpoint="/v1/predict_batch",
                 status="200",
             ) == len(batch_sizes)
-            assert value("holistix_server_requests_total") == total_texts
-            assert value("holistix_server_latency_ms_count") == total_texts
+            assert value("holistix_requests_total", model="default") == total_texts
+            assert value("holistix_model_batches_total", model="default") >= 1
+            assert (
+                value("holistix_model_latency_ms_count", model="default")
+                == total_texts
+            )
             per_worker = [
                 value("holistix_worker_requests_total", worker=str(i))
                 for i in range(server.workers)
             ]
             assert sum(per_worker) == total_texts
             assert value("holistix_ready", model_id="stub") == 1
-            for q in ("0.5", "0.95", "0.99"):
-                assert value("holistix_server_latency_ms", quantile=q) >= 0.0
+            assert not any(name.startswith("holistix_server_") for name, _ in samples)
+            assert "# TYPE holistix_model_latency_ms histogram" in text
             # All unique texts -> all cache misses so far.  Repeats of
             # one text may land on either replica; after 4 repeats at
             # most 2 are first-touch misses, so hits must appear.
@@ -596,9 +600,10 @@ class TestMetrics:
                 t.join()
             shed = statuses.count(429)
             samples = client.metrics()
-            assert samples[("holistix_server_shed_total", frozenset())] == shed
+            default = frozenset({("model", "default")})
+            assert samples[("holistix_model_shed_total", default)] == shed
             expected_rate = shed / len(statuses) if statuses else 0.0
-            assert samples[("holistix_server_shed_rate", frozenset())] == (
+            assert samples[("holistix_model_shed_rate", default)] == (
                 pytest.approx(expected_rate)
             )
             server.drain()

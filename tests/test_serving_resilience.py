@@ -309,6 +309,16 @@ class TestDeadlineShedding:
             assert snapshot.deadline_shed == 1
             assert snapshot.shed == 0  # counted apart from overload sheds
 
+    def test_observed_p50_reflects_new_requests_at_once(self):
+        # No cache between the stats and deadline admission: the p50 of
+        # requests served a moment ago is what the next request sees.
+        with gateway_over(SlowBackend(0.02), workers=1) as (gateway, server):
+            assert gateway.observed_p50_ms() == 0.0  # below the minimum
+            server.predict([f"slow {i}" for i in range(60)])
+            p50 = gateway.observed_p50_ms()
+            assert p50 >= 15.0
+            assert p50 == server.stats.snapshot().latency_percentile(50)
+
     def test_generous_budget_is_served(self):
         backend = SlowBackend(0.01)
         with gateway_over(backend, workers=1) as (gateway, _server):
@@ -395,7 +405,7 @@ class TestAdminSurface:
             status, payload = _post(
                 gateway.url,
                 "/v1/admin/chaos",
-                {"plan_version": 1, "seed": "x"},
+                {"plan": {"plan_version": 1, "seed": "x"}},
                 headers={"X-Admin-Token": "s3cret"},
             )
             assert status == 400
@@ -413,7 +423,7 @@ class TestChaosHttpFaults:
         status, payload = _post(
             gateway.url,
             "/v1/admin/chaos",
-            plan.to_dict(),
+            {"model": "default", "plan": plan.to_dict()},
             headers={"X-Admin-Token": "s3cret"},
         )
         assert status == 200 and payload["status"] == "armed"
