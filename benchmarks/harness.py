@@ -72,10 +72,10 @@ Scenarios
     ``ProcessInferenceServer`` → ``ServingGateway`` → resilient
     ``ServingClient`` stack under open-loop Poisson load.  Gates
     chaos-leg availability >= 0.99 (deadline sheds credited back),
-    post-fault recovery p99 within 2x the clean baseline, at least one
-    supervised worker respawn, every planned fault kind applied, and
-    zero orphaned worker processes after shutdown.  Primary metric:
-    chaos-leg availability (higher is better).
+    post-fault recovery p99 within max(2x the clean baseline, 250 ms),
+    at least one supervised worker respawn, every planned fault kind
+    applied, and zero orphaned worker processes after shutdown.
+    Primary metric: chaos-leg availability (higher is better).
 
 Timings come from ``_timeit_median``: every measured callable gets
 discarded warm-up iterations followed by median-of-k timing, so
@@ -505,73 +505,87 @@ class FixedServiceBackend:
         return np.full((len(texts), 6), 1.0 / 6.0)
 
 
-def _closed_loop_measure(
-    servers, one_request, *, n_clients: int, warmup_s: float, measure_s: float
+# The worker pool every stub serving scenario runs; each scenario
+# overrides only the settings it is about (worker count, queue depth,
+# overload policy, batching).
+STUB_POOL = dict(
+    workers=2, max_batch_size=8, max_wait_ms=0.5, max_queue=256, overload="block"
+)
+
+# Request texts for the closed-loop clients (the stub ignores content
+# and every stub engine runs with the cache off).
+_LOAD_TEXTS = [f"closed-loop request {i}" for i in range(1024)]
+
+
+def _stub_engine(backend, model_id: str):
+    """Module-level engine factory: picklable for spawn-started workers."""
+    from repro.engine.engine import PredictionEngine
+
+    return PredictionEngine(backend, model_id=model_id, cache_size=0)
+
+
+def _stub_server(backend, model_id: str, *, processes: bool = False, **overrides):
+    """A ``STUB_POOL`` server over ``backend``, threaded or multi-process."""
+    settings = {**STUB_POOL, **overrides}
+    if processes:
+        from repro.engine.procserver import ProcessInferenceServer
+
+        return ProcessInferenceServer.from_factory(
+            _stub_engine, (backend, model_id), model_id=model_id, **settings
+        )
+    from repro.engine.server import InferenceServer
+
+    return InferenceServer(_stub_engine(backend, model_id), **settings)
+
+
+def _load(quick: bool, n_clients: int) -> dict:
+    """Client count, warm-up and measured window of a closed-loop leg."""
+    return dict(
+        n_clients=n_clients,
+        warmup_s=0.15 if quick else 0.5,
+        measure_s=0.6 if quick else 3.0,
+    )
+
+
+def _submit(server):
+    """In-process transport: one blocking ``submit`` per request."""
+    return lambda text, sent_at: server.submit(text).result(timeout=30)
+
+
+def _closed_loop(
+    servers, send, *, n_clients: int, warmup_s: float, measure_s: float
 ) -> dict:
-    """Closed-loop clients calling ``one_request`` until time is up.
+    """Closed-loop clients on :func:`repro.loadgen.run_closed_loop`.
 
-    Shared by every closed-loop serving scenario so the measurement
-    methodology (warm-up, snapshot-delta throughput, the measurement
-    window) cannot drift between them.  Throughput comes from the sum of
-    the ``servers``' stats deltas (a fleet spreads traffic over several);
-    the latency percentiles come from the *caller's* clock around each
-    request completed inside the window, so for the HTTP scenarios they
-    include everything the client pays (connection, JSON, parsing,
-    response write), not just the engine-internal queue time.
+    Shared by every closed-loop serving scenario so the methodology
+    (warm-up, the measured window, caller-side latency) cannot drift
+    between them.  Throughput is the requests completed inside the
+    window over its length; the percentiles come from the *caller's*
+    clock, so for the HTTP scenarios they include everything the client
+    pays (connection, JSON, parsing, response write).  ``mean_batch``
+    comes from the ``servers``' stats (a fleet spreads traffic over
+    several).  Any failed request fails the run.
     """
-    from repro.loadgen import LatencyHistogram
+    from repro.loadgen import run_closed_loop
 
-    done = threading.Event()
-    measuring = threading.Event()
-    client_errors: list[Exception] = []
-    latency = LatencyHistogram()
-    collect_lock = threading.Lock()
-
-    def client(i: int) -> None:
-        n = 0
-        local = LatencyHistogram()
-        try:
-            while not done.is_set():
-                started = time.perf_counter()
-                one_request(f"client {i} request {n}")
-                if measuring.is_set():
-                    local.record((time.perf_counter() - started) * 1000.0)
-                n += 1
-        except Exception as error:  # noqa: BLE001 - recorded, fails the run
-            client_errors.append(error)
-        finally:
-            with collect_lock:
-                latency.merge(local)
-
-    def totals() -> tuple[int, int]:
-        snaps = [server.stats.snapshot() for server in servers]
-        return sum(s.requests for s in snaps), sum(s.batches for s in snaps)
-
-    threads = [
-        threading.Thread(target=client, args=(i,), daemon=True)
-        for i in range(n_clients)
-    ]
-    for t in threads:
-        t.start()
-    time.sleep(warmup_s)
-    before, _ = totals()
-    started = time.perf_counter()
-    measuring.set()
-    time.sleep(measure_s)
-    measuring.clear()
-    after, batches = totals()
-    elapsed = time.perf_counter() - started
-    done.set()
-    for t in threads:
-        t.join(timeout=10)
-    if client_errors:
-        raise AssertionError(f"closed-loop client failed: {client_errors[0]!r}")
+    result = run_closed_loop(
+        send,
+        _LOAD_TEXTS,
+        n_clients=n_clients,
+        duration_s=measure_s,
+        warmup_s=warmup_s,
+    )
+    if result.failed:
+        raise AssertionError(f"closed-loop client failed: {result.summary()}")
+    snaps = [server.stats.snapshot() for server in servers]
+    requests = sum(snap.requests for snap in snaps)
+    batches = sum(snap.batches for snap in snaps)
     return {
-        "throughput": (after - before) / elapsed,
-        "p50_ms": latency.percentile(50),
-        "p95_ms": latency.percentile(95),
-        "p99_ms": latency.percentile(99),
-        "mean_batch": after / batches if batches else 0.0,
+        "throughput": result.achieved_rate_rps,
+        "p50_ms": result.p50_ms,
+        "p95_ms": result.p95_ms,
+        "p99_ms": result.p99_ms,
+        "mean_batch": requests / batches if batches else 0.0,
     }
 
 
@@ -587,45 +601,23 @@ def scenario_serving_load(quick: bool) -> dict:
 
     A second, deliberately undersized server is then driven past
     saturation in shed mode to record the load-shedding behaviour
-    (``shed_rate``, p99 under overload), and in full mode a real fitted
-    LR baseline is served end to end for an absolute docs/sec reference.
+    (``shed_rate``, p99 under overload).
     """
-    from repro.engine.engine import PredictionEngine
-    from repro.engine.server import InferenceServer, ServerOverloaded
+    from repro.engine.server import ServerOverloaded
 
-    n_clients = 24 if quick else 32
-    warmup_s = 0.15 if quick else 0.5
-    measure_s = 0.6 if quick else 3.0
+    load = _load(quick, 24 if quick else 32)
 
-    def run_closed_loop(workers: int) -> dict:
-        engine = PredictionEngine(
-            FixedServiceBackend(), model_id="bench", cache_size=0
-        )
-        server = InferenceServer(
-            engine,
-            workers=workers,
-            max_batch_size=8,
-            max_wait_ms=0.5,
-            max_queue=256,
-            overload="block",
-        )
+    runs = {}
+    for workers in (1, 4):
+        server = _stub_server(FixedServiceBackend(), "bench", workers=workers)
         with server:
-            return _closed_loop_measure(
-                [server],
-                lambda text: server.submit(text).result(timeout=30),
-                n_clients=n_clients,
-                warmup_s=warmup_s,
-                measure_s=measure_s,
-            )
-
-    single = run_closed_loop(1)
-    scaled = run_closed_loop(4)
+            runs[workers] = _closed_loop([server], _submit(server), **load)
+    single, scaled = runs[1], runs[4]
 
     # Overload: an open-loop burst against an undersized shed-mode server.
-    shed_server = InferenceServer(
-        PredictionEngine(
-            FixedServiceBackend(per_batch_ms=5.0), model_id="shed", cache_size=0
-        ),
+    shed_server = _stub_server(
+        FixedServiceBackend(per_batch_ms=5.0),
+        "shed",
         workers=1,
         max_batch_size=4,
         max_wait_ms=0.0,
@@ -646,10 +638,10 @@ def scenario_serving_load(quick: bool) -> dict:
             f.result(timeout=30)
     shed_snap = shed_server.stats.snapshot()
 
-    result = {
-        "n_clients": n_clients,
+    return {
+        "n_clients": load["n_clients"],
         "timings": {
-            "measure_window_s": measure_s,
+            "measure_window_s": load["measure_s"],
             "workers1_p50_ms": single["p50_ms"],
             "workers1_p95_ms": single["p95_ms"],
             "workers4_p50_ms": scaled["p50_ms"],
@@ -668,37 +660,6 @@ def scenario_serving_load(quick: bool) -> dict:
             "overload_served": shed_snap.requests,
         },
     }
-
-    if not quick:
-        # Absolute end-to-end reference: a real fitted baseline served
-        # through 2 worker replicas (cache disabled so every request
-        # pays the TF-IDF + linear-model cost).
-        from repro.core.dataset import HolistixDataset
-        from repro.core.pipeline import WellnessClassifier
-
-        dataset = HolistixDataset.build()
-        split = dataset.fixed_split()
-        classifier = WellnessClassifier("LR").fit(split.train)
-        engine = classifier.engine.replicate()
-        engine.cache_size = 0
-        texts = split.test.texts
-        server = InferenceServer(engine, workers=2, max_batch_size=32)
-        with server:
-            started = time.perf_counter()
-            chunks = [texts[i::8] for i in range(8)]
-            threads = [
-                threading.Thread(target=server.predict, args=(chunk,))
-                for chunk in chunks
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            lr_elapsed = time.perf_counter() - started
-        result["timings"]["real_lr_serve_s"] = lr_elapsed
-        result["metrics"]["real_lr_req_per_sec"] = len(texts) / lr_elapsed
-
-    return result
 
 
 def scenario_serving_http(quick: bool) -> dict:
@@ -720,46 +681,20 @@ def scenario_serving_http(quick: bool) -> dict:
     Latency percentiles are measured at the caller (the HTTP side pays
     the full network round trip, not just engine queue time).
     """
-    from repro.engine.engine import PredictionEngine
-    from repro.engine.server import InferenceServer
     from repro.serving.client import ServingClient
     from repro.serving.gateway import ServingGateway
 
-    n_clients = 12 if quick else 24
-    warmup_s = 0.15 if quick else 0.5
-    measure_s = 0.6 if quick else 3.0
+    load = _load(quick, 12 if quick else 24)
 
-    def make_server() -> InferenceServer:
-        return InferenceServer(
-            PredictionEngine(
-                FixedServiceBackend(), model_id="bench-http", cache_size=0
-            ),
-            workers=2,
-            max_batch_size=8,
-            max_wait_ms=0.5,
-            max_queue=256,
-            overload="block",
-        )
-
-    inprocess_server = make_server()
+    inprocess_server = _stub_server(FixedServiceBackend(), "bench-http")
     with inprocess_server:
-        inprocess = _closed_loop_measure(
-            [inprocess_server],
-            lambda text: inprocess_server.submit(text).result(timeout=30),
-            n_clients=n_clients,
-            warmup_s=warmup_s,
-            measure_s=measure_s,
-        )
+        inprocess = _closed_loop([inprocess_server], _submit(inprocess_server), **load)
 
-    http_server = make_server()
+    http_server = _stub_server(FixedServiceBackend(), "bench-http")
     with ServingGateway(http_server) as gateway:
         serving_client = ServingClient(gateway.url, deadline_s=30)
-        http = _closed_loop_measure(
-            [http_server],
-            serving_client.predict,
-            n_clients=n_clients,
-            warmup_s=warmup_s,
-            measure_s=measure_s,
+        http = _closed_loop(
+            [http_server], lambda text, _: serving_client.predict(text), **load
         )
         health = serving_client.healthz()
         assert health["status"] == "ok", health
@@ -769,9 +704,9 @@ def scenario_serving_http(quick: bool) -> dict:
         ]
 
     return {
-        "n_clients": n_clients,
+        "n_clients": load["n_clients"],
         "timings": {
-            "measure_window_s": measure_s,
+            "measure_window_s": load["measure_s"],
             "inprocess_p50_ms": inprocess["p50_ms"],
             "inprocess_p95_ms": inprocess["p95_ms"],
             "http_p50_ms": http["p50_ms"],
@@ -812,23 +747,6 @@ class SpinServiceBackend:
         return np.full((len(texts), 6), 1.0 / 6.0)
 
 
-def _mp_fixed_engine():
-    """Module-level engine factory: picklable for spawn-started workers."""
-    from repro.engine.engine import PredictionEngine
-
-    return PredictionEngine(
-        FixedServiceBackend(), model_id="bench-mp", cache_size=0
-    )
-
-
-def _mp_spin_engine():
-    from repro.engine.engine import PredictionEngine
-
-    return PredictionEngine(
-        SpinServiceBackend(), model_id="bench-mp-spin", cache_size=0
-    )
-
-
 def scenario_serving_mp(quick: bool) -> dict:
     """Scaling and overhead of the multi-process serving backend.
 
@@ -854,100 +772,33 @@ def scenario_serving_mp(quick: bool) -> dict:
       on a single-core runner it sits near 1.0, which is why it is
       recorded (with ``cpu_count``) but not regression-gated.
     """
-    from repro.engine.engine import PredictionEngine
-    from repro.engine.procserver import ProcessInferenceServer
-    from repro.engine.server import InferenceServer
-
-    n_clients = 24 if quick else 32
-    warmup_s = 0.15 if quick else 0.5
-    measure_s = 0.6 if quick else 3.0
-
-    def run_mp(workers: int, factory=_mp_fixed_engine) -> dict:
-        server = ProcessInferenceServer.from_factory(
-            factory,
-            workers=workers,
-            max_batch_size=8,
-            max_wait_ms=0.5,
-            max_queue=256,
-            overload="block",
-        )
-        with server:
-            server.wait_ready(timeout=60)
-            return _closed_loop_measure(
-                [server],
-                lambda text: server.submit(text).result(timeout=30),
-                n_clients=n_clients,
-                warmup_s=warmup_s,
-                measure_s=measure_s,
-            )
-
-    def run_threaded(workers: int, backend_cls=FixedServiceBackend) -> dict:
-        server = InferenceServer(
-            PredictionEngine(backend_cls(), model_id="bench-mt", cache_size=0),
-            workers=workers,
-            max_batch_size=8,
-            max_wait_ms=0.5,
-            max_queue=256,
-            overload="block",
-        )
-        with server:
-            return _closed_loop_measure(
-                [server],
-                lambda text: server.submit(text).result(timeout=30),
-                n_clients=n_clients,
-                warmup_s=warmup_s,
-                measure_s=measure_s,
-            )
-
-    single = run_mp(1)
-    scaled = run_mp(4)
-    threaded = run_threaded(4)
-
+    load = _load(quick, 24 if quick else 32)
     # GIL-bound spin workload: thread pool vs process pool, batch size 1
     # so every request is its own GIL-holding unit of work.
-    spin_clients = 8
-    spin_measure = 0.5 if quick else 2.0
-
-    def run_spin(make_server) -> dict:
-        server = make_server()
+    spin = dict(max_batch_size=1, max_wait_ms=0.0)
+    spin_load = {**load, "n_clients": 8, "measure_s": 0.5 if quick else 2.0}
+    # leg -> (backend, model id, worker processes?, pool overrides, load)
+    legs = {
+        "procs1": (FixedServiceBackend(), "bench-mp", True, dict(workers=1), load),
+        "procs4": (FixedServiceBackend(), "bench-mp", True, dict(workers=4), load),
+        "threads4": (FixedServiceBackend(), "bench-mt", False, dict(workers=4), load),
+        "spin_threads": (SpinServiceBackend(), "spin-mt", False, spin, spin_load),
+        "spin_procs": (SpinServiceBackend(), "bench-mp-spin", True, spin, spin_load),
+    }
+    runs = {}
+    for leg, (backend, model_id, processes, overrides, leg_load) in legs.items():
+        server = _stub_server(backend, model_id, processes=processes, **overrides)
         with server:
-            if hasattr(server, "wait_ready"):
+            if processes:
                 server.wait_ready(timeout=60)
-            return _closed_loop_measure(
-                [server],
-                lambda text: server.submit(text).result(timeout=30),
-                n_clients=spin_clients,
-                warmup_s=warmup_s,
-                measure_s=spin_measure,
-            )
-
-    spin_threads = run_spin(
-        lambda: InferenceServer(
-            PredictionEngine(
-                SpinServiceBackend(), model_id="spin-mt", cache_size=0
-            ),
-            workers=2,
-            max_batch_size=1,
-            max_wait_ms=0.0,
-            max_queue=256,
-            overload="block",
-        )
-    )
-    spin_procs = run_spin(
-        lambda: ProcessInferenceServer.from_factory(
-            _mp_spin_engine,
-            workers=2,
-            max_batch_size=1,
-            max_wait_ms=0.0,
-            max_queue=256,
-            overload="block",
-        )
-    )
+            runs[leg] = _closed_loop([server], _submit(server), **leg_load)
+    single, scaled, threaded = runs["procs1"], runs["procs4"], runs["threads4"]
+    spin_threads, spin_procs = runs["spin_threads"], runs["spin_procs"]
 
     return {
-        "n_clients": n_clients,
+        "n_clients": load["n_clients"],
         "timings": {
-            "measure_window_s": measure_s,
+            "measure_window_s": load["measure_s"],
             "procs1_p50_ms": single["p50_ms"],
             "procs1_p95_ms": single["p95_ms"],
             "procs4_p50_ms": scaled["p50_ms"],
@@ -1036,8 +887,6 @@ def scenario_serving_tail(quick: bool) -> dict:
     percentiles.
     """
     from repro.corpus.factory import CorpusFactory
-    from repro.engine.engine import PredictionEngine
-    from repro.engine.server import InferenceServer
     from repro.loadgen import (
         fixed_rate_schedule,
         poisson_schedule,
@@ -1053,16 +902,6 @@ def scenario_serving_tail(quick: bool) -> dict:
     texts = CorpusFactory().texts(seed, corpus_n)
     corpus_s = time.perf_counter() - started
 
-    def make_server(backend) -> InferenceServer:
-        return InferenceServer(
-            PredictionEngine(backend, model_id="bench-tail", cache_size=0),
-            workers=2,
-            max_batch_size=8,
-            max_wait_ms=0.5,
-            max_queue=512,
-            overload="block",
-        )
-
     rate = 150.0 if quick else 250.0
     duration_s = 2.0 if quick else 5.0
 
@@ -1070,11 +909,15 @@ def scenario_serving_tail(quick: bool) -> dict:
     # is sized to dominate the measured p99 (~10 ms of deterministic
     # service vs ~1 ms of scheduler jitter) so the gated absolute
     # number is a property of the scenario, not of the host.
-    clean_server = make_server(FixedServiceBackend(per_batch_ms=10.0, per_item_ms=0.5))
+    clean_server = _stub_server(
+        FixedServiceBackend(per_batch_ms=10.0, per_item_ms=0.5),
+        "bench-tail",
+        max_queue=512,
+    )
     with clean_server:
         open_clean = run_open_loop(
             poisson_schedule(rate, duration_s=duration_s, seed=seed),
-            lambda text, at: clean_server.submit(text).result(timeout=30),
+            _submit(clean_server),
             texts,
             max_in_flight=64,
             deadline_s=10.0,
@@ -1087,7 +930,7 @@ def scenario_serving_tail(quick: bool) -> dict:
     # Leg 2: the same methodology through the HTTP gateway.
     http_rate = 60.0 if quick else 120.0
     http_duration_s = 1.5 if quick else 4.0
-    http_server = make_server(FixedServiceBackend())
+    http_server = _stub_server(FixedServiceBackend(), "bench-tail", max_queue=512)
     with ServingGateway(http_server) as gateway:
         client = ServingClient(gateway.url, deadline_s=10.0)
         client.wait_ready(deadline_s=10.0)
@@ -1106,28 +949,25 @@ def scenario_serving_tail(quick: bool) -> dict:
     # Leg 3: the injected whole-server stall, measured both ways.  The
     # light per-call service time keeps both measurements far from
     # saturation so the stall is the only tail event.
-    stall_s = 0.4 if quick else 0.8
-
-    def stalled_server() -> InferenceServer:
-        return make_server(
-            StallingBackend(
-                stall_after=100, stall_s=stall_s, per_batch_ms=0.5, per_item_ms=0.1
-            )
-        )
-
-    closed_server = stalled_server()
+    stall = dict(
+        stall_after=100,
+        stall_s=0.4 if quick else 0.8,
+        per_batch_ms=0.5,
+        per_item_ms=0.1,
+    )
+    closed_server = _stub_server(StallingBackend(**stall), "bench-tail", max_queue=512)
     with closed_server:
         closed_stall = run_closed_loop(
-            lambda text, at: closed_server.submit(text).result(timeout=30),
+            _submit(closed_server),
             texts,
             n_clients=4,
             duration_s=duration_s,
         )
-    open_server = stalled_server()
+    open_server = _stub_server(StallingBackend(**stall), "bench-tail", max_queue=512)
     with open_server:
         open_stall = run_open_loop(
             fixed_rate_schedule(rate, duration_s=duration_s, seed=seed),
-            lambda text, at: open_server.submit(text).result(timeout=30),
+            _submit(open_server),
             texts,
             max_in_flight=256,
             deadline_s=10.0,
@@ -1195,17 +1035,6 @@ CHAOS_PLAN_PARAMS = dict(
 CHAOS_PLAN_PATH = REPO_ROOT / "benchmarks" / "plans" / "serving_chaos.json"
 
 
-def _chaos_engine_factory():
-    """Module-level engine factory: picklable for spawn-started workers."""
-    from repro.engine.engine import PredictionEngine
-
-    return PredictionEngine(
-        FixedServiceBackend(per_batch_ms=5.0, per_item_ms=0.2),
-        model_id="bench-chaos",
-        cache_size=0,
-    )
-
-
 def scenario_serving_chaos(quick: bool) -> dict:
     """Replay the committed fault plan and gate on recovery, not speed.
 
@@ -1225,8 +1054,8 @@ def scenario_serving_chaos(quick: bool) -> dict:
     Gated invariants, all checked in-run: chaos-leg availability
     ``>= 0.99`` (client retries and the supervisor must absorb the
     storm; deadline sheds are credited back — shedding is policy, not
-    failure), recovery p99 within 2x baseline (with a small absolute
-    floor for scheduler noise), at least one supervised worker respawn,
+    failure), recovery p99 within max(2x baseline, 250 ms) (the floor
+    absorbs scheduler noise), at least one supervised worker respawn,
     every planned fault kind actually applied, and zero orphaned worker
     processes after shutdown.  The primary metric is the chaos-leg
     availability; per-leg histograms and the injector's fired-fault
@@ -1234,7 +1063,6 @@ def scenario_serving_chaos(quick: bool) -> dict:
     """
     from repro.chaos import FaultInjector, FaultPlan
     from repro.corpus.factory import CorpusFactory
-    from repro.engine.procserver import ProcessInferenceServer
     from repro.loadgen import poisson_schedule, run_open_loop
     from repro.serving.client import ServingClient
     from repro.serving.gateway import ServingGateway
@@ -1270,14 +1098,11 @@ def scenario_serving_chaos(quick: bool) -> dict:
             restarts += report["restarts"]
         return alive, restarts
 
-    server = ProcessInferenceServer.from_factory(
-        _chaos_engine_factory,
-        model_id="bench-chaos",
-        workers=2,
-        max_batch_size=8,
-        max_wait_ms=0.5,
+    server = _stub_server(
+        FixedServiceBackend(per_batch_ms=5.0, per_item_ms=0.2),
+        "bench-chaos",
+        processes=True,
         max_queue=512,
-        overload="block",
         supervisor_interval_s=0.1,
         respawn_backoff_base_s=0.05,
     )
@@ -1481,44 +1306,24 @@ def scenario_serving_fleet(quick: bool) -> dict:
     Prometheus counters and the shadow coverage ratio are recorded
     alongside as correctness evidence.
     """
-    from repro.engine.engine import PredictionEngine
-    from repro.engine.server import InferenceServer
     from repro.serving.client import ServingClient
     from repro.serving.fleet import ModelEntry, ModelFleet
     from repro.serving.gateway import ServingGateway
 
-    n_clients = 12 if quick else 24
-    warmup_s = 0.15 if quick else 0.5
-    measure_s = 0.6 if quick else 3.0
+    load = _load(quick, 12 if quick else 24)
 
-    def make_server(name: str, overload: str = "block") -> InferenceServer:
-        return InferenceServer(
-            PredictionEngine(
-                FixedServiceBackend(), model_id=f"bench-{name}", cache_size=0
-            ),
-            workers=2,
-            max_batch_size=8,
-            max_wait_ms=0.5,
-            max_queue=256,
-            overload=overload,
-        )
-
-    single_server = make_server("single")
+    single_server = _stub_server(FixedServiceBackend(), "bench-single")
     with ServingGateway(single_server) as gateway:
         serving_client = ServingClient(gateway.url, deadline_s=30)
-        single = _closed_loop_measure(
-            [single_server],
-            serving_client.predict,
-            n_clients=n_clients,
-            warmup_s=warmup_s,
-            measure_s=measure_s,
+        single = _closed_loop(
+            [single_server], lambda text, _: serving_client.predict(text), **load
         )
 
-    champion = make_server("champion")
-    challenger = make_server("challenger")
+    champion = _stub_server(FixedServiceBackend(), "bench-champion")
+    challenger = _stub_server(FixedServiceBackend(), "bench-challenger")
     # The shadow sheds rather than blocks: mirrored traffic must never
     # apply backpressure to the primary path.
-    mirror = make_server("mirror", overload="shed")
+    mirror = _stub_server(FixedServiceBackend(), "bench-mirror", overload="shed")
     fleet_obj = ModelFleet(
         [
             ModelEntry("champion", champion, weight=0.9),
@@ -1528,12 +1333,10 @@ def scenario_serving_fleet(quick: bool) -> dict:
     )
     with ServingGateway(fleet_obj) as gateway:
         serving_client = ServingClient(gateway.url, deadline_s=30)
-        fleet = _closed_loop_measure(
+        fleet = _closed_loop(
             [champion, challenger],
-            serving_client.predict,
-            n_clients=n_clients,
-            warmup_s=warmup_s,
-            measure_s=measure_s,
+            lambda text, _: serving_client.predict(text),
+            **load,
         )
         scraped = serving_client.metrics()
 
@@ -1563,9 +1366,9 @@ def scenario_serving_fleet(quick: bool) -> dict:
     )
 
     return {
-        "n_clients": n_clients,
+        "n_clients": load["n_clients"],
         "timings": {
-            "measure_window_s": measure_s,
+            "measure_window_s": load["measure_s"],
             "single_p50_ms": single["p50_ms"],
             "single_p95_ms": single["p95_ms"],
             "fleet_p50_ms": fleet["p50_ms"],

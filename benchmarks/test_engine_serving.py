@@ -32,7 +32,8 @@ def test_server_throughput(benchmark, dataset):
                 outputs[i] = server.predict(chunks[i])
 
             threads = [
-                threading.Thread(target=client, args=(i,)) for i in range(4)
+                threading.Thread(target=client, args=(i,), daemon=False)
+                for i in range(4)
             ]
             for t in threads:
                 t.start()

@@ -345,6 +345,11 @@ class BatchingServerBase:
         raise NotImplementedError
 
     @property
+    def model_id(self) -> str:
+        """Identifier of the served model."""
+        raise NotImplementedError
+
+    @property
     def weights_version(self) -> int:
         """Version token of the served weights (0 = never reloaded).
 
@@ -742,7 +747,7 @@ class InferenceServer(BatchingServerBase):
     @property
     def weights_version(self) -> int:
         """The engine's weights token (in-place model mutation counter)."""
-        return int(getattr(self.engine, "weights_version", 0))
+        return self.engine.weights_version
 
     def _predict_probs(self, worker: int, texts: list[str]) -> _ProbMatrix:
         return self._engines[worker].predict_proba(texts)

@@ -234,6 +234,7 @@ def run_closed_loop(
     *,
     n_clients: int = 8,
     duration_s: float = 2.0,
+    warmup_s: float = 0.0,
 ) -> LoadResult:
     """The coordinated-omission baseline: N clients, measure at send.
 
@@ -241,7 +242,14 @@ def run_closed_loop(
     from the moment *it* sent — so while the server stalls, the clients
     stall with it, offered load collapses, and only ``n_clients``
     requests ever observe the stall.  Kept (and exercised in the
-    benchmark suite) purely to measure how much that methodology hides.
+    benchmark suite) to measure how much that methodology hides, and as
+    the closed-loop driver of the throughput benchmarks.
+
+    Clients run for ``warmup_s + duration_s``.  Only requests that
+    complete inside the measured window (the last ``duration_s``) are
+    recorded and counted, so ``achieved_rate_rps`` is that count over
+    ``duration_s``; a failure is counted (and charged) whenever it
+    happens, warm-up included.
     """
     if not texts:
         raise ValueError("texts must be non-empty")
@@ -249,21 +257,26 @@ def run_closed_loop(
         raise ValueError("n_clients must be >= 1")
     if duration_s <= 0:
         raise ValueError("duration_s must be positive")
+    if warmup_s < 0:
+        raise ValueError("warmup_s must be >= 0")
 
     collector = _Collector()
-    stop_at = time.monotonic() + duration_s
+    window_start = time.monotonic() + warmup_s
+    stop_at = window_start + duration_s
 
     def client(client_index: int) -> None:
         index = client_index
         while time.monotonic() < stop_at:
             sent_at = time.monotonic()
+            error = None
             try:
                 send(texts[index % len(texts)], sent_at)
-            except Exception as error:  # noqa: BLE001 - typed + counted
-                done = time.monotonic()
+            except Exception as exc:  # noqa: BLE001 - typed + counted
+                error = exc
+            done = time.monotonic()
+            if error is not None:
                 collector.record("failed", (done - sent_at) * 1000.0, done, error)
-            else:
-                done = time.monotonic()
+            elif window_start <= done <= stop_at:
                 collector.record("completed", (done - sent_at) * 1000.0, done)
             index += n_clients
 
@@ -271,14 +284,12 @@ def run_closed_loop(
         threading.Thread(target=client, args=(i,), name=f"closed-{i}", daemon=True)
         for i in range(n_clients)
     ]
-    start = time.monotonic()
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join()
-    duration = max(collector.last_done_at, stop_at) - start
     completed = collector.completed
-    achieved = completed / duration if duration > 0 else 0.0
+    achieved = completed / duration_s
     return LoadResult(
         mode="closed",
         histogram=collector.histogram,
@@ -286,7 +297,7 @@ def run_closed_loop(
         # reporting achieved as offered IS the methodological flaw.
         offered_rate_rps=achieved,
         achieved_rate_rps=achieved,
-        duration_s=duration,
+        duration_s=duration_s,
         scheduled=completed + collector.failed,
         completed=completed,
         failed=collector.failed,

@@ -94,23 +94,12 @@ class ModelEntry:
         self.weight = 0.0 if shadow else float(weight)
         self.shadow = shadow
         self.baseline = baseline
-        if model_id is None:
-            model_id = getattr(server, "model_id", None)
-        if model_id is None:
-            engines = getattr(server, "engines", None)
-            model_id = engines[0].model_id if engines else name
-        self.model_id = model_id
+        self.model_id = server.model_id if model_id is None else model_id
 
     @property
     def weights_version(self) -> int:
         """The served weights' version token (0 for static backends)."""
-        version = getattr(self.server, "weights_version", None)
-        if version is not None:
-            return int(version)
-        engine = getattr(self.server, "engine", None)
-        if engine is not None:
-            return int(getattr(engine, "weights_version", 0))
-        return 0
+        return int(self.server.weights_version)
 
     @property
     def reloadable(self) -> bool:

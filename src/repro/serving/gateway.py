@@ -90,6 +90,10 @@ class _GatewayHTTPServer(ThreadingHTTPServer):
     daemon_threads = False
     block_on_close = True
     allow_reuse_address = True
+    # listen() backlog.  socketserver's default of 5 overflows as soon as
+    # a dozen one-connection-per-request clients arrive together, and
+    # every dropped SYN costs that client a ~1 s retransmit.
+    request_queue_size = 128
 
     def __init__(self, address, handler, gateway: "ServingGateway") -> None:
         self.gateway = gateway

@@ -7,9 +7,9 @@ Three layers:
 * the ``OrderedLock`` dynamic checker — a deliberately-deadlocking
   two-lock ordering is caught, conditions integrate, ``require_held``
   enforces the ``*_locked`` contract;
-* the real tree: ``holistix-lint src/ scripts/`` is clean, and the real
-  ``ProcessInferenceServer`` start/submit/drain/stop path records a
-  cycle-free lock graph under ``REPRO_LOCK_CHECK=1``.
+* the real tree: ``holistix-lint src/ scripts/ benchmarks/`` is clean,
+  and the real ``ProcessInferenceServer`` start/submit/drain/stop path
+  records a cycle-free lock graph under ``REPRO_LOCK_CHECK=1``.
 """
 
 from __future__ import annotations
@@ -188,6 +188,10 @@ class TestCli:
 class TestRealTreeIsClean:
     def test_src_and_scripts_lint_clean(self):
         violations = run([REPO_ROOT / "src", REPO_ROOT / "scripts"])
+        assert violations == [], "\n".join(v.render() for v in violations)
+
+    def test_benchmarks_lint_clean(self):
+        violations = run([REPO_ROOT / "benchmarks"])
         assert violations == [], "\n".join(v.render() for v in violations)
 
     def test_gateway_and_injector_hx001_regressions(self):

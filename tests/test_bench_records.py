@@ -256,3 +256,16 @@ def test_serving_mp_record_carries_gil_context():
             f"BENCH_serving_mp.json: {key!r} missing or non-finite: {value!r}"
         )
         assert value > 0
+
+
+def test_closed_loop_helper_fails_the_run_on_a_failed_request():
+    """A failed request must fail the scenario, not thin its throughput."""
+    from benchmarks.harness import _closed_loop
+
+    def failing_send(text: str, sent_at: float) -> None:
+        raise RuntimeError("transport down")
+
+    with pytest.raises(AssertionError, match="RuntimeError"):
+        _closed_loop(
+            [], failing_send, n_clients=2, warmup_s=0.0, measure_s=0.05
+        )

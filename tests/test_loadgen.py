@@ -293,6 +293,50 @@ class TestClosedLoopRunner:
             run_closed_loop(instant_send, TEXTS, n_clients=0)
         with pytest.raises(ValueError):
             run_closed_loop(instant_send, TEXTS, duration_s=0.0)
+        with pytest.raises(ValueError):
+            run_closed_loop(instant_send, TEXTS, warmup_s=-0.1)
+
+    def test_warmup_completions_are_not_counted(self):
+        calls = []
+
+        def paced_send(text: str, sent_at: float) -> None:
+            time.sleep(0.005)
+            calls.append(sent_at)
+
+        result = run_closed_loop(
+            paced_send, TEXTS, n_clients=1, duration_s=0.15, warmup_s=0.3
+        )
+        assert result.completed > 0
+        # Two thirds of the run is warm-up: those completions ran but
+        # were neither counted nor recorded.
+        assert result.completed < len(calls) / 2
+        assert result.histogram.count == result.completed
+        assert result.duration_s == 0.15
+
+    def test_achieved_rate_is_windowed_completions_over_duration(self):
+        def quick_send(text: str, sent_at: float) -> None:
+            time.sleep(0.001)
+
+        result = run_closed_loop(
+            quick_send, TEXTS, n_clients=2, duration_s=0.2, warmup_s=0.1
+        )
+        assert result.achieved_rate_rps == pytest.approx(result.completed / 0.2)
+
+    def test_failure_during_warmup_is_counted(self):
+        calls = []
+
+        def fail_first(text: str, sent_at: float) -> None:
+            calls.append(text)
+            if len(calls) == 1:
+                raise RuntimeError("boom")
+            time.sleep(0.002)
+
+        result = run_closed_loop(
+            fail_first, TEXTS, n_clients=1, duration_s=0.1, warmup_s=0.2
+        )
+        assert result.failed == 1
+        assert result.error_types == {"RuntimeError": 1}
+        assert result.scheduled == result.completed + 1
 
 
 # ----------------------------------------------------------------------

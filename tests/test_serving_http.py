@@ -504,6 +504,50 @@ class TestLifecycle:
             assert ServingClient(second.url).healthz()["status"] == "ok"
 
 
+class TestListenBacklog:
+    def test_concurrent_connection_burst_is_not_dropped(self):
+        # ServingClient opens one TCP connection per request, so 16
+        # closed-loop clients keep up to 16 connects in flight.  With a
+        # listen backlog smaller than that the kernel drops SYNs and
+        # each drop costs the client a ~1 s retransmit.
+        n_clients, per_client = 16, 15
+        latencies: list[float] = []
+        errors: list[Exception] = []
+        lock = threading.Lock()
+        with gateway_over(SlowBackend(0.002), workers=2, max_wait_ms=0.5) as (
+            gateway,
+            _,
+        ):
+            client = ServingClient(gateway.url, deadline_s=10)
+
+            def run(i: int) -> None:
+                for n in range(per_client):
+                    started = time.perf_counter()
+                    try:
+                        client.predict(f"client {i} request {n}")
+                    except Exception as error:  # noqa: BLE001 - asserted below
+                        with lock:
+                            errors.append(error)
+                        return
+                    with lock:
+                        latencies.append(time.perf_counter() - started)
+
+            threads = [
+                threading.Thread(target=run, args=(i,), daemon=False)
+                for i in range(n_clients)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        assert not errors, errors[0]
+        assert len(latencies) == n_clients * per_client
+        assert max(latencies) < 0.5, (
+            f"slowest request took {max(latencies) * 1000:.0f} ms "
+            "(a dropped SYN retransmits after ~1 s)"
+        )
+
+
 class TestMetrics:
     def test_metrics_parse_and_match_request_counts(self):
         with gateway_over(workers=2) as (gateway, server):
